@@ -21,7 +21,7 @@
 //!   what starve losers).
 
 use crate::drift::{delay_summary, DelaySummary};
-use crate::meanfield::{MeanFieldModel, MeanFieldSolution};
+use crate::meanfield::{check_station_count, MeanFieldModel, MeanFieldSolution};
 use crate::model1901::Model1901;
 use plc_core::config::{CsmaConfig, DC_DISABLED};
 use plc_core::error::{Error, Result};
@@ -149,7 +149,8 @@ pub fn boost_search(n: usize, timing: &MacTiming, opts: &BoostOptions) -> Vec<Ca
 /// mean-field fixed point (the same decoupling solve behind
 /// `Backend::MeanField` in `plc-sim`) plus the drift-DTMC access-delay
 /// summary — throughput, collision probability and delay quantiles in
-/// one call, milliseconds per schedule. This is the screening API the
+/// one call, ≈1.3 ms per schedule at most N (the delay walk is capped at
+/// 100 000 slots), less at few stations. This is the screening API the
 /// `plc-boost` optimizer uses to rank whole candidate spaces before any
 /// slotted simulation runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,7 +169,7 @@ pub struct ScheduleScreen {
 /// Bound the delay-DTMC walk: far enough for the p99 where feasible,
 /// but capped — at extreme contention the conditional delay is
 /// astronomical and the summary reports truncated mass instead.
-fn delay_walk_slots(mean_slots: f64) -> usize {
+pub(crate) fn delay_walk_slots(mean_slots: f64) -> usize {
     if mean_slots.is_finite() {
         (mean_slots * 50.0).ceil().clamp(1_000.0, 100_000.0) as usize
     } else {
@@ -178,8 +179,8 @@ fn delay_walk_slots(mean_slots: f64) -> usize {
 
 /// Screen one `(CW_i, d_i)` schedule at `n` stations: solve the
 /// mean-field fixed point and derive throughput / collision probability
-/// / access-delay quantiles. Errors on `n == 0`, invalid timing, or a
-/// solver failure.
+/// / access-delay quantiles. Errors on `n == 0`, `n > i32::MAX`, invalid
+/// timing, or a solver failure.
 pub fn screen_schedule(
     config: &CsmaConfig,
     n: usize,
@@ -190,6 +191,7 @@ pub fn screen_schedule(
             "schedule screening needs at least one station",
         ));
     }
+    check_station_count(n)?;
     if !timing.is_valid() {
         return Err(Error::invalid_config(
             "schedule screening needs strictly positive slot/Ts/Tc timing",

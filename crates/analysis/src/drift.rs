@@ -34,12 +34,14 @@
 //! Freezing `p` at the fixed point turns the stage process of one tagged
 //! station into an absorbing DTMC (absorption = successful attempt),
 //! whose absorption-time distribution is the per-packet access delay in
-//! decision slots. [`access_delay_distribution`] walks it slot by slot;
-//! [`delay_summary`] converts to microseconds using the tagged station's
-//! expected slot duration and extracts quantiles — this is what the
-//! `MeanField` engine backend reports.
+//! decision slots. One step kernel walks it slot by slot:
+//! [`access_delay_distribution`] collects the per-slot PMF and CDF;
+//! [`delay_summary`] streams the mean and quantiles without them and
+//! converts to microseconds using the tagged station's expected slot
+//! duration — this is what the `MeanField` engine backend reports.
 
 use crate::math::bisect_decreasing_iters;
+use crate::meanfield::check_station_count;
 use crate::model1901::stage_quantities_for;
 use plc_core::config::CsmaConfig;
 use plc_core::error::{Error, Result};
@@ -79,13 +81,14 @@ pub struct DriftTrajectory {
 }
 
 impl DriftModel {
-    /// Model for `n ≥ 1` stations.
+    /// Model for `1 ≤ n ≤ i32::MAX` stations.
     pub fn new(config: CsmaConfig, n: usize) -> Result<Self> {
         if n == 0 {
             return Err(Error::invalid_config(
                 "drift model needs at least one station",
             ));
         }
+        check_station_count(n)?;
         config.validate()?;
         Ok(DriftModel { config, n })
     }
@@ -245,44 +248,119 @@ pub struct DelayDistribution {
     pub truncated_mass: f64,
 }
 
-/// Walk the absorbing stage DTMC for `max_slots` slots.
+/// What every delay walk accumulates on its way.
+struct WalkTotals {
+    /// `P(delay ≤ max_slots)`.
+    absorbed: f64,
+    /// `Σ_t t · P(delay = t)`.
+    mean_num: f64,
+}
+
+impl WalkTotals {
+    fn mean_slots(&self) -> f64 {
+        if self.absorbed > 0.0 {
+            self.mean_num / self.absorbed
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn truncated_mass(&self) -> f64 {
+        (1.0 - self.absorbed).max(0.0)
+    }
+}
+
+/// Walk the absorbing stage DTMC for `max_slots` slots, calling
+/// `on_slot(t, P(delay = t), P(delay ≤ t))` after every slot. This is
+/// the one step kernel behind [`access_delay_distribution`] and
+/// [`delay_summary`].
+///
+/// The two stage buffers are allocated once per walk and swapped each
+/// slot. After every step, entries below `f64::MIN_POSITIVE` are set to
+/// zero: a drained stage otherwise decays into the subnormal range and
+/// sticks at the smallest subnormal (which any stay factor above ½
+/// rounds back to itself), and every later slot pays the hardware's
+/// subnormal-arithmetic penalty. What such an entry would still add
+/// lies below the last bit of the CDF and mean sums, so the CDF, the
+/// mean and the quantiles are those of the unflushed walk bit for bit
+/// (a test pins that); only success probabilities below
+/// `f64::MIN_POSITIVE` can read zero.
+fn walk_delay(
+    config: &CsmaConfig,
+    p: f64,
+    max_slots: usize,
+    mut on_slot: impl FnMut(usize, f64, f64),
+) -> WalkTotals {
+    let idle = 1.0 - p;
+    // Per stage: the attempt hazard, and the factors of a collision or
+    // jump and of a stay, each evaluated exactly as the unflushed
+    // reference walk in the tests evaluates it every slot.
+    let stages: Vec<(f64, f64, f64)> = hazards(config, p)
+        .into_iter()
+        .map(|(a, j)| (a, a * p + j, 1.0 - a - j))
+        .collect();
+    let last = stages.len() - 1;
+    let mut pi = vec![0.0; stages.len()];
+    let mut next = vec![0.0; stages.len()];
+    pi[0] = 1.0;
+    let mut totals = WalkTotals {
+        absorbed: 0.0,
+        mean_num: 0.0,
+    };
+    for t in 1..=max_slots {
+        // Stage i keeps `π_i · stay` and passes `π_i · advance` on to
+        // stage i + 1; the last stage keeps both. Every sum adds its
+        // terms in the reference walk's order: another order would move
+        // the last bits of the results.
+        let mut succ = 0.0;
+        let mut inflow = 0.0;
+        let below_last = pi.iter().zip(&stages).zip(&mut next).take(last);
+        for ((&x, &(a, advance, stay)), out) in below_last {
+            succ += x * a * idle;
+            *out = flush_subnormal(inflow + x * stay);
+            inflow = x * advance;
+        }
+        let x = pi[last];
+        let (a, advance, stay) = stages[last];
+        succ += x * a * idle;
+        next[last] = flush_subnormal((inflow + x * advance) + x * stay);
+        std::mem::swap(&mut pi, &mut next);
+        totals.absorbed += succ;
+        totals.mean_num += t as f64 * succ;
+        on_slot(t, succ, totals.absorbed);
+    }
+    totals
+}
+
+/// `v`, or zero when `v` is subnormal.
+fn flush_subnormal(v: f64) -> f64 {
+    if v.abs() < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// Walk the absorbing stage DTMC for `max_slots` slots and collect the
+/// whole distribution. [`delay_summary`] walks the same chain without
+/// keeping the per-slot tables. Because the walk flushes subnormal stage
+/// probabilities, a `pmf` entry below `f64::MIN_POSITIVE` may read zero.
 pub fn access_delay_distribution(
     config: &CsmaConfig,
     p: f64,
     max_slots: usize,
 ) -> DelayDistribution {
-    let haz = hazards(config, p);
-    let m = haz.len();
-    let mut pi = vec![0.0; m];
-    pi[0] = 1.0;
     let mut pmf = Vec::with_capacity(max_slots);
     let mut cdf = Vec::with_capacity(max_slots);
-    let mut absorbed = 0.0;
-    let mut mean_num = 0.0;
-    for t in 1..=max_slots {
-        let mut next = vec![0.0; m];
-        let mut succ = 0.0;
-        for (i, &(a, j)) in haz.iter().enumerate() {
-            let nxt = (i + 1).min(m - 1);
-            succ += pi[i] * a * (1.0 - p);
-            next[nxt] += pi[i] * (a * p + j);
-            next[i] += pi[i] * (1.0 - a - j);
-        }
-        pi = next;
-        absorbed += succ;
-        mean_num += t as f64 * succ;
+    let totals = walk_delay(config, p, max_slots, |t, succ, absorbed| {
         pmf.push(succ);
         cdf.push((t as f64, absorbed));
-    }
+    });
     DelayDistribution {
         pmf,
         cdf,
-        mean_slots: if absorbed > 0.0 {
-            mean_num / absorbed
-        } else {
-            f64::INFINITY
-        },
-        truncated_mass: (1.0 - absorbed).max(0.0),
+        mean_slots: totals.mean_slots(),
+        truncated_mass: totals.truncated_mass(),
     }
 }
 
@@ -330,7 +408,9 @@ impl DelaySummary {
 }
 
 /// Delay summary for one tagged station of a class at attempt rate
-/// `tau` / busy probability `p` in an `n`-station domain.
+/// `tau` / busy probability `p` in an `n`-station domain, from a walk of
+/// `max_slots` slots. The quantiles are read off during the walk: each
+/// is the first slot whose CDF reaches its level.
 pub fn delay_summary(
     config: &CsmaConfig,
     tau: f64,
@@ -339,26 +419,274 @@ pub fn delay_summary(
     timing: &MacTiming,
     max_slots: usize,
 ) -> DelaySummary {
-    let dist = access_delay_distribution(config, p, max_slots);
+    const LEVELS: [f64; 3] = [0.5, 0.9, 0.99];
+    let mut quantiles = [None; LEVELS.len()];
+    let mut reached = 0;
+    let totals = walk_delay(config, p, max_slots, |t, _, absorbed| {
+        while reached < LEVELS.len() && absorbed >= LEVELS[reached] {
+            quantiles[reached] = Some(t as f64);
+            reached += 1;
+        }
+    });
+    let [p50_slots, p90_slots, p99_slots] = quantiles;
+    let mean_slots = totals.mean_slots();
     let slot_us = tagged_slot_duration_us(tau, n, timing);
     DelaySummary {
-        mean_slots: dist.mean_slots,
-        p50_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.5),
-        p90_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.9),
-        p99_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.99),
+        mean_slots,
+        p50_slots,
+        p90_slots,
+        p99_slots,
         slot_us,
-        mean_us: dist.mean_slots * slot_us,
-        truncated_mass: dist.truncated_mass,
+        mean_us: mean_slots * slot_us,
+        truncated_mass: totals.truncated_mass(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boost::delay_walk_slots;
     use crate::meanfield::MeanFieldModel;
+    use plc_core::config::DC_DISABLED;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn ca1() -> CsmaConfig {
         CsmaConfig::ieee1901_ca01()
+    }
+
+    /// The unflushed per-slot walk, kept as the bit-identity reference:
+    /// a fresh stage vector every slot, no subnormal flush, the whole PMF
+    /// and CDF collected.
+    fn reference_distribution(config: &CsmaConfig, p: f64, max_slots: usize) -> DelayDistribution {
+        let haz = hazards(config, p);
+        let m = haz.len();
+        let mut pi = vec![0.0; m];
+        pi[0] = 1.0;
+        let mut pmf = Vec::with_capacity(max_slots);
+        let mut cdf = Vec::with_capacity(max_slots);
+        let mut absorbed = 0.0;
+        let mut mean_num = 0.0;
+        for t in 1..=max_slots {
+            let mut next = vec![0.0; m];
+            let mut succ = 0.0;
+            for (i, &(a, j)) in haz.iter().enumerate() {
+                let nxt = (i + 1).min(m - 1);
+                succ += pi[i] * a * (1.0 - p);
+                next[nxt] += pi[i] * (a * p + j);
+                next[i] += pi[i] * (1.0 - a - j);
+            }
+            pi = next;
+            absorbed += succ;
+            mean_num += t as f64 * succ;
+            pmf.push(succ);
+            cdf.push((t as f64, absorbed));
+        }
+        DelayDistribution {
+            pmf,
+            cdf,
+            mean_slots: if absorbed > 0.0 {
+                mean_num / absorbed
+            } else {
+                f64::INFINITY
+            },
+            truncated_mass: (1.0 - absorbed).max(0.0),
+        }
+    }
+
+    /// The reference summary: the quantiles scanned off the whole
+    /// reference CDF.
+    fn reference_summary(
+        config: &CsmaConfig,
+        tau: f64,
+        p: f64,
+        n: usize,
+        timing: &MacTiming,
+        max_slots: usize,
+    ) -> DelaySummary {
+        let dist = reference_distribution(config, p, max_slots);
+        let slot_us = tagged_slot_duration_us(tau, n, timing);
+        DelaySummary {
+            mean_slots: dist.mean_slots,
+            p50_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.5),
+            p90_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.9),
+            p99_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.99),
+            slot_us,
+            mean_us: dist.mean_slots * slot_us,
+            truncated_mass: dist.truncated_mass,
+        }
+    }
+
+    /// Every field of a summary as bits; destructured so that a new field
+    /// cannot be left out of the comparison.
+    fn summary_bits(s: &DelaySummary) -> [Option<u64>; 7] {
+        let DelaySummary {
+            mean_slots,
+            p50_slots,
+            p90_slots,
+            p99_slots,
+            slot_us,
+            mean_us,
+            truncated_mass,
+        } = s;
+        [
+            Some(mean_slots.to_bits()),
+            p50_slots.map(f64::to_bits),
+            p90_slots.map(f64::to_bits),
+            p99_slots.map(f64::to_bits),
+            Some(slot_us.to_bits()),
+            Some(mean_us.to_bits()),
+            Some(truncated_mass.to_bits()),
+        ]
+    }
+
+    fn assert_walk_matches_reference(
+        case: &str,
+        config: &CsmaConfig,
+        tau: f64,
+        p: f64,
+        n: usize,
+        max_slots: usize,
+    ) {
+        let timing = MacTiming::paper_default();
+        let got = delay_summary(config, tau, p, n, &timing, max_slots);
+        let want = reference_summary(config, tau, p, n, &timing, max_slots);
+        assert_eq!(
+            summary_bits(&got),
+            summary_bits(&want),
+            "{case}: {got:?} vs reference {want:?}"
+        );
+    }
+
+    /// Compare the walk with the reference on the input `screen_schedule`
+    /// gives it: `p` and `τ` from the fixed point, `delay_walk_slots` of
+    /// its mean delay as the bound. `None` when the solver fails.
+    fn assert_screen_walk_matches_reference(
+        case: &str,
+        config: &CsmaConfig,
+        n: usize,
+    ) -> Option<()> {
+        let solution = MeanFieldModel::single(config.clone(), n).solve().ok()?;
+        let c = &solution.classes[0];
+        let max_slots = delay_walk_slots(c.mean_access_delay_slots);
+        assert_walk_matches_reference(case, config, c.tau, c.collision_probability, n, max_slots);
+        Some(())
+    }
+
+    /// The CA1 baseline plus the 4-stage family the default boost space
+    /// screens, `CW₀ ∈ {4…128}` × growth `g ∈ {1, 2, 4}` × deferral
+    /// `{1901, aggressive, off}`, labelled as `plc-boost` labels them.
+    fn screen_family() -> Vec<(String, CsmaConfig)> {
+        let mut family = vec![("ca1-default".to_string(), ca1())];
+        for cw0 in [4u32, 8, 16, 32, 64, 128] {
+            for g in [1u32, 2, 4] {
+                let cw: Vec<u32> = (0..4).map(|i| cw0 * g.pow(i)).collect();
+                for (name, dc) in [
+                    ("dc1901", [0, 1, 3, 15]),
+                    ("dcaggr", [0, 0, 1, 3]),
+                    ("dcoff", [DC_DISABLED; 4]),
+                ] {
+                    let config = CsmaConfig::from_vectors(&cw, &dc).unwrap();
+                    family.push((format!("cw{cw0}-g{g}-{name}"), config));
+                }
+            }
+        }
+        family
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_the_screen_inputs() {
+        let family = screen_family();
+        assert_eq!(family.len(), 55);
+        for (label, config) in &family {
+            for n in [5, 10, 15, 30] {
+                assert_screen_walk_matches_reference(&format!("{label} n={n}"), config, n)
+                    .unwrap_or_else(|| panic!("{label} n={n}: the screen's solve failed"));
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_the_reference_where_drained_stages_stick_subnormal() {
+        // Its first three stages drain, and without the flush 98.6k of
+        // the 100k walked slots carry a stage probability stuck at the
+        // smallest subnormal, 4.9e-324.
+        let config = CsmaConfig::from_vectors(&[4; 4], &[DC_DISABLED; 4]).unwrap();
+        assert_screen_walk_matches_reference("cw4-g1-dcoff n=30", &config, 30).unwrap();
+    }
+
+    #[test]
+    fn walk_matches_the_reference_when_the_cdf_lands_on_a_level() {
+        // One stage of window 3 at p = 0 succeeds with hazard ½, so the
+        // CDF is exactly 0.5 after the first slot: the median is that
+        // slot only if a quantile counts the level as reached.
+        let config = CsmaConfig::from_vectors(&[3], &[DC_DISABLED]).unwrap();
+        let want = reference_summary(&config, 0.0, 0.0, 1, &MacTiming::paper_default(), 100);
+        assert_eq!(want.p50_slots, Some(1.0));
+        assert_walk_matches_reference("cw3 p=0", &config, 0.0, 0.0, 1, 100);
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_random_schedules() {
+        let mut rng = SmallRng::seed_from_u64(0xDE1A7);
+        let mut compared = 0;
+        for case in 0..40 {
+            let stages = rng.gen_range(1..=6usize);
+            let cw: Vec<u32> = (0..stages).map(|_| rng.gen_range(1..=256)).collect();
+            let dc: Vec<u32> = (0..stages)
+                .map(|_| {
+                    if rng.gen_bool(0.25) {
+                        DC_DISABLED
+                    } else {
+                        rng.gen_range(0..=31)
+                    }
+                })
+                .collect();
+            let n = rng.gen_range(1..=300usize);
+            let config = CsmaConfig::from_vectors(&cw, &dc).unwrap();
+            let case = format!("case {case}: cw {cw:?} dc {dc:?} n={n}");
+            if assert_screen_walk_matches_reference(&case, &config, n).is_some() {
+                compared += 1;
+            }
+        }
+        assert!(compared >= 30, "only {compared} of 40 schedules solved");
+    }
+
+    #[test]
+    fn walk_matches_the_reference_at_fixed_busy_probabilities() {
+        let ps = [
+            0.0f64, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+            0.999,
+        ];
+        for (label, config) in [("CA1", ca1()), ("CA3", CsmaConfig::ieee1901_ca23())] {
+            for p in ps {
+                let n = 10;
+                let tau = 1.0 - (1.0 - p).powf(1.0 / (n - 1) as f64);
+                let case = format!("{label} p={p}");
+                assert_walk_matches_reference(&case, &config, tau, p, n, 20_000);
+                // The collector walks the same kernel: its CDF matches the
+                // reference's slot for slot, and so does its PMF, except
+                // that a success probability below `f64::MIN_POSITIVE`
+                // may read zero.
+                let got = access_delay_distribution(&config, p, 20_000);
+                let want = reference_distribution(&config, p, 20_000);
+                let bits = |d: &DelayDistribution| {
+                    let cdf: Vec<(u64, u64)> = d
+                        .cdf
+                        .iter()
+                        .map(|(t, c)| (t.to_bits(), c.to_bits()))
+                        .collect();
+                    (cdf, d.mean_slots.to_bits(), d.truncated_mass.to_bits())
+                };
+                assert!(bits(&got) == bits(&want), "{case}: distributions differ");
+                for (t, (g, w)) in got.pmf.iter().zip(&want.pmf).enumerate() {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (*g == 0.0 && w.abs() < f64::MIN_POSITIVE),
+                        "{case}: pmf[{t}] = {g:e} vs reference {w:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,11 @@
 //! * [`boost`] — parameter-space search for throughput-optimal (CW, DC)
 //!   tables, the "boosting" use case.
 //!
-//! Everything is deterministic, allocation-light and fast: one fixed-point
-//! solve is microseconds, so whole parameter sweeps run interactively.
+//! Everything is deterministic, allocation-light and fast: a mean-field
+//! screen of one (candidate, n) — fixed point plus delay walk — takes
+//! ≈0.46 ms on average over the default boost space (≈0.27 ms + ≈0.18 ms,
+//! `perfbench --trace 1` on a 2-vCPU Intel Xeon host), so whole parameter
+//! sweeps run interactively.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

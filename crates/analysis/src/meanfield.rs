@@ -201,11 +201,11 @@ impl MeanFieldModel {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for an empty model, an empty class, or
-    /// out-of-range solver options; [`Error::Runtime`] when the damped
-    /// iteration does not reach the tolerance within the iteration cap
-    /// (the message carries the residual, iteration count and final step
-    /// size).
+    /// [`Error::InvalidConfig`] for an empty model, an empty class, a
+    /// class of more than `i32::MAX` stations, or out-of-range solver
+    /// options; [`Error::Runtime`] when the damped iteration does not
+    /// reach the tolerance within the iteration cap (the message carries
+    /// the residual, iteration count and final step size).
     pub fn solve(&self) -> Result<MeanFieldSolution> {
         self.validate()?;
         let specs = &self.classes;
@@ -275,6 +275,7 @@ impl MeanFieldModel {
                     spec.label
                 )));
             }
+            check_station_count(spec.n)?;
             spec.config.validate()?;
         }
         let o = &self.options;
@@ -353,6 +354,20 @@ impl MeanFieldModel {
                 final_damping,
             },
         }
+    }
+}
+
+/// Reject a station count past `i32::MAX`. The decoupling formulas raise
+/// `1 − τ` to the power `n − 1` with `powi`, whose `i32` exponent would
+/// wrap: a silently contention-free answer in release builds, an
+/// overflow panic in debug ones.
+pub(crate) fn check_station_count(n: usize) -> Result<()> {
+    match i32::try_from(n) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(Error::invalid_config(format!(
+            "{n} stations in one contention domain; the analytic models take at most {}",
+            i32::MAX
+        ))),
     }
 }
 
@@ -435,7 +450,28 @@ pub fn throughput_tolerance(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boost::screen_schedule;
+    use crate::drift::DriftModel;
     use crate::model1901::Model1901;
+
+    #[test]
+    fn station_counts_past_i32_max_are_config_errors() {
+        // `powi(n as i32 - 1)` would wrap here: p = 0 in release builds,
+        // an overflow panic in debug ones.
+        let n = i32::MAX as usize + 1;
+        let ca1 = CsmaConfig::ieee1901_ca01();
+        let timing = MacTiming::paper_default();
+        let errors = [
+            MeanFieldModel::single(ca1.clone(), n).solve().unwrap_err(),
+            DriftModel::new(ca1.clone(), n).unwrap_err(),
+            screen_schedule(&ca1, n, &timing).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+        }
+        // The largest representable count is still accepted.
+        assert!(DriftModel::new(ca1, i32::MAX as usize).is_ok());
+    }
 
     #[test]
     fn single_class_matches_bisection() {

@@ -14,8 +14,9 @@
 //!   is the same file for `--workers 1` and `--workers 8`;
 //! * **exact resume** — kill the process at any instant and
 //!   [`BoostRun::resume`] replays: settled sweep points reassemble from
-//!   their journals, the analytic screen re-solves (microseconds), and
-//!   the pruning decisions recompute to the same survivors.
+//!   their journals, the analytic screen re-solves (≈0.13 s for the
+//!   default space and portfolio), and the pruning decisions recompute
+//!   to the same survivors.
 //!
 //! ## Rung structure
 //!

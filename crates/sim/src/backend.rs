@@ -8,8 +8,12 @@
 //! (`plc_analysis::meanfield`) and *synthesizes* a [`SimReport`] with the
 //! same schema, so sweeps, JSON export and experiments run unchanged on
 //! either backend. The mean-field run is deterministic (the seed is
-//! ignored) and costs microseconds regardless of `N` or the horizon —
-//! that is the point: fleet-scale sweeps (10⁴–10⁶ stations) in the time
+//! ignored) and its cost does not grow with the horizon, nor with `N`
+//! once the access-delay walk reaches its 100 000-slot cap (from
+//! N ≈ 200 for CA1): tens of µs at N = 5, ≈1.1–1.4 ms from the cap up
+//! to N = 10⁶, ≈1.08 ms of it the walk and ≈0.06 ms the fixed point at
+//! N = 10⁴ (2-vCPU Intel Xeon host).
+//! That is the point: fleet-scale sweeps (10⁴–10⁶ stations) in the time
 //! one slotted replication takes, at the documented accuracy envelope
 //! (`plc_analysis::meanfield::gamma_tolerance`).
 //!

@@ -1,4 +1,5 @@
-//! Zero-allocation pins for the engine hot loops.
+//! Zero-allocation pins for the engine hot loops and the mean-field
+//! delay walk.
 //!
 //! The SoA contention core, the batched RNG draw buffer and the reused
 //! scratch vectors exist so that steady-state stepping never touches
@@ -125,4 +126,22 @@ fn multiclass_round_does_not_allocate_per_round() {
     let short = run(1e6);
     let long = run(2e6);
     assert_eq!(short, long, "multiclass PRS/backoff round allocated");
+}
+
+#[test]
+fn delay_walk_does_not_allocate_per_slot() {
+    // The mean-field backend's delay walk steps two stage buffers and
+    // streams its quantiles: a 100× longer walk makes no more allocations.
+    let config = plc_core::config::CsmaConfig::ieee1901_ca01();
+    let timing = plc_core::timing::MacTiming::paper_default();
+    let walk = |max_slots: usize| {
+        let (summary, count) = allocs_during(|| {
+            plc_analysis::delay_summary(&config, 0.05, 0.3, 10, &timing, max_slots)
+        });
+        assert!(summary.p50_slots.is_some());
+        count
+    };
+    let short = walk(1_000);
+    let long = walk(100_000);
+    assert_eq!(short, long, "delay walk allocated per slot");
 }
