@@ -3,35 +3,85 @@
 //! [`SlottedEngine`](crate::engine::SlottedEngine) is generic over
 //! [`BackoffProcess`](plc_mac::process::BackoffProcess) objects, which is
 //! the right shape for correctness and protocol ablations but the wrong
-//! shape for a saturated medium: a busy slot must touch *every* backlogged
-//! station's BC/DC, and walking a `Vec<StationCtx>` of ~100-byte structs
-//! costs several cache lines per station plus an enum dispatch per event.
-//! When every station's process exports a
+//! shape for a saturated medium: walking a `Vec<StationCtx>` of ~100-byte
+//! structs costs several cache lines per station plus an enum dispatch
+//! per event. When every station's process exports a
 //! [`SoaView`](plc_mac::process::SoaView), the engine moves the counters
-//! into this core's parallel arrays and the busy-slot pass becomes a
-//! branch-light sweep over a few contiguous bytes per station.
+//! into this core, which keeps them in one of two layouts.
 //!
-//! # Memory layout
+//! # Event-indexed layout (saturated single-class IEEE 1901)
 //!
-//! The two counters every busy slot touches — BC and DC — are packed into
-//! one `u32` per station (`bcdc`: BC in the low 16 bits, DC in the high
-//! 16, with `0xFFFF` as the disabled-DC sentinel). A deferring station's
-//! whole slot update is then one load, one compare (`word >= 0x10000`
-//! means `DC > 0`), one subtract and one store:
+//! A 1901 station changes course only when one of its two clocks runs
+//! out: BC counts down on every contention slot, DC on every busy slot.
+//! For the all-backlogged, single-class 1901 population — the saturated
+//! benchmark regime — the core therefore stores *when* each clock runs
+//! out rather than the counters:
+//!
+//! * `slot` counts contention slots (idle and busy), `busy` counts busy
+//!   slots;
+//! * station `i` keeps `tx_at[i]`, the `slot` at which its BC reaches 0
+//!   (`BC = tx_at − slot`), and `dc_at[i]`, the `busy` index at which its
+//!   DC reaches 0 (`DC = dc_at − busy`; [`NEVER`] when deferral is
+//!   disabled);
+//! * each number is also filed in a power-of-two ring of station bitsets
+//!   (⌈N/64⌉ words per bucket; see below for N ≤ 64): bucket
+//!   `tx_at mod R_tx` of the transmit ring, bucket `dc_at mod R_dc` of
+//!   the deferral ring. Between slots a `tx_at` lies in
+//!   `[slot, slot + max CW − 1]` and a `dc_at` in `[busy, busy + max DC]`,
+//!   so with at least max CW and max DC + 1 buckets every bucket holds one
+//!   clock value. A redraw can file a full lap ahead, into the bucket
+//!   being read, but a busy slot empties each word of that bucket before
+//!   it files any station of the word. Both rings are sized once from the
+//!   class table and never grow.
+//!
+//! A busy slot visits only `tx_ring[slot] | dc_ring[busy]` — the
+//! transmitters plus the stations whose DC ran out — and redraws each;
+//! every other station's BC and DC drop by one when `slot` and `busy`
+//! advance. An idle slot is `slot += 1`, a fast-forward jump over `k`
+//! idle slots is `slot += k`, and the next slot's transmitter set is the
+//! bucket `tx_ring[slot]`. The minimum BC (the fast-forward jump length)
+//! is needed only when that bucket is empty, and only then computed: the
+//! distance to the next non-empty transmit bucket.
+//!
+//! The decrement was never the cost. On the packed layout below at
+//! N = 500 (CA1), an idle sweep — decrement and fold every station,
+//! nothing else — takes ≈0.7 µs, a busy slot ≈2.9 µs. The rest is the
+//! ≈35 stations that change course on a busy slot (≈9 transmitters and
+//! ≈26 deferral redraws, averaged over 34,000 busy slots), each picked
+//! out by a data-dependent branch of the O(N) loop and queued for its
+//! redraw. Visiting only those stations brings the busy slot to ≈1.1 µs
+//! (`busy_slot/500`: 3.75 → 1.12 ms per 1,000 slots).
+//!
+//! Populations of at most 64 stations (one bitset word) file no transmit
+//! clocks: their transmitter set and minimum BC come from a scan of at
+//! most 64 `tx_at` values. A sparse ring (five stations at CW 8192 spread
+//! over 8,192 buckets) would cost far more to walk, and 64 KB per engine
+//! to hold.
+//!
+//! A population whose rings would exceed [`RING_BYTES_MAX`] (wide
+//! windows × many stations, e.g. N > 960 with a CW-8192 stage) stays on
+//! the packed layout. Like a [`CoreRejection`] fallback this changes no
+//! result, only the cost — the busy slot is O(N) again — but it is not
+//! counted in `engine.soa_fallbacks`: the struct-of-arrays core is still
+//! in use.
+//!
+//! # Packed layout (everything else)
+//!
+//! Dynamic backlog (Poisson, on/off), DCF and multi-class populations
+//! keep BC and DC packed into one `u32` per station (`bcdc`: BC in the
+//! low 16 bits, DC in the high 16, with `0xFFFF` as the disabled-DC
+//! sentinel) and sweep every backlogged station on each slot. A
+//! deferring station's whole slot update is one load, one compare
+//! (`word >= 0x10000` means `DC > 0`), one subtract and one store:
 //!
 //! ```text
 //! word - 1 - (((word >> 16) != 0xFFFF) as u32) << 16   // BC -= 1, DC -= 1 unless disabled
 //! ```
 //!
-//! Stage and BPC live in separate arrays — they are only touched on
-//! redraws, not on every slot. `from_views` rejects populations whose
-//! CW/DC values don't fit the packed layout (CW > 2¹⁶, DC ≥ 2¹⁶ − 1 yet
-//! not disabled), in which case the engine stays on the per-object path.
-//!
-//! On top of the layout, the all-backlogged single-class IEEE 1901
-//! population — the saturated benchmark regime — takes a specialized
-//! sweep with the per-station `active`/protocol checks hoisted out of
-//! the loop entirely.
+//! Stage and BPC live in separate arrays in both layouts — they are only
+//! touched on redraws. `from_views` rejects populations whose CW/DC
+//! values don't fit the packed domain (CW > 2¹⁶, DC ≥ 2¹⁶ − 1 yet not
+//! disabled), in which case the engine stays on the per-object path.
 //!
 //! # Draw-order contract
 //!
@@ -44,17 +94,19 @@
 //! * every station loop in the engine mutates (and therefore redraws) in
 //!   ascending station order.
 //!
-//! A sweep therefore runs in two passes: pass 1 walks stations in
-//! ascending order and *decides* who redraws (queueing `(station, cw)`
-//! pairs), pass 2 pre-fills the draw buffer from the engine RNG — one
-//! `next_u64` per queued redraw, in queue order — and applies the same
-//! multiply-shift. The resulting stream consumption is word-for-word what
-//! the per-object path would have drawn.
+//! The event layout draws as it visits: bit iteration yields stations in
+//! ascending order. The packed sweep runs in two passes: pass 1 walks
+//! stations in ascending order and *decides* who redraws (queueing
+//! `(station, cw)` pairs), pass 2 pre-fills the draw buffer from the
+//! engine RNG — one `next_u64` per queued redraw, in queue order — and
+//! applies the same multiply-shift. Either way the stream consumption is
+//! word-for-word what the per-object path would have drawn.
 //!
-//! The fast-forward contention cache (`zero` set + min positive BC) is
-//! folded *inside* the sweeps (`TRACK = true`): stations whose BC is
-//! final fold inline, redrawn stations fold as their draw lands, and the
-//! two ascending zero sets merge with one ordered pass.
+//! The fast-forward contention cache (`zero` set + min BC) is folded
+//! *inside* the sweeps (`TRACK = true`). In the packed layout stations
+//! whose BC is final fold inline, redrawn stations fold as their draw
+//! lands, and the two ascending zero sets merge with one ordered pass;
+//! the event layout reads the set off the next transmit bucket.
 
 use crate::trace::StationId;
 use plc_core::config::DC_DISABLED;
@@ -79,10 +131,34 @@ const PROTO_1901: u8 = 1;
 /// [`DC_DISABLED`]).
 const DC16_DISABLED: u32 = 0xFFFF;
 
+/// `dc_at` of a station whose deferral counter is disabled: its DC never
+/// runs out.
+const NEVER: u64 = u64::MAX;
+
+/// Most bytes both rings of an [`EventLayout`] may take together. A
+/// population that would need more stays on the packed layout.
+///
+/// The cap keeps the rings within one core's L2 cache; it is not where
+/// the event layout starts to lose. Run time per busy slot of saturated
+/// `cw128-g4-dc1901` (5·10⁷ µs, best of 3, two rounds; a 2-vCPU Xeon
+/// with 2 MiB of L2 per core), event vs packed layout: N = 500 (0.5 MB
+/// of rings) 0.6–1.0 vs 3.6–4.6 µs, N = 1000 (1.05 MB) 1.5–2.1 vs
+/// 7.7–8.5 µs, N = 4000 (4.1 MB) 11–13 vs 29–33 µs, N = 16,000 (16.4 MB)
+/// 85–89 vs 99–103 µs. The gain falls from ≈5× to ≈1.15× once the rings
+/// outgrow L2, while they hold ≈1 KB per station at CW 8192.
+const RING_BYTES_MAX: usize = 1 << 20;
+
 /// Pack a (BC, 16-bit DC) pair into one word.
 #[inline]
 fn pack(bc: u32, dc16: u32) -> u32 {
     bc | (dc16 << 16)
+}
+
+/// Map one RNG word into `0..cw` exactly as the vendored
+/// `gen_range(0..cw)` does (see the module docs).
+#[inline]
+fn draw_below(x: u64, cw: u32) -> u32 {
+    (((x as u128) * (cw as u128)) >> 64) as u32
 }
 
 /// Per-stage parameters of one distinct (protocol, table) combination.
@@ -98,13 +174,250 @@ struct ClassTable {
     last: u32,
 }
 
+/// BC/DC store of the event-indexed layout. See the [module docs](self).
+struct EventLayout {
+    /// Contention slots elapsed, idle and busy: the BC clock.
+    slot: u64,
+    /// Busy slots elapsed: the DC clock.
+    busy: u64,
+    /// Per station, the `slot` at which its BC reaches 0.
+    tx_at: Vec<u64>,
+    /// Per station, the `busy` index at which its DC reaches 0
+    /// ([`NEVER`] when disabled).
+    dc_at: Vec<u64>,
+    /// Bitset words per bucket: ⌈N/64⌉.
+    words: usize,
+    /// Transmit ring: bucket `t mod R_tx` holds the stations with
+    /// `tx_at == t`. Empty for one-word populations, whose transmit
+    /// clocks are scanned instead.
+    tx_ring: Vec<u64>,
+    /// `R_tx − 1`.
+    tx_mask: u64,
+    /// Deferral ring: bucket `b mod R_dc` holds the stations with
+    /// `dc_at == b`.
+    dc_ring: Vec<u64>,
+    /// `R_dc − 1`.
+    dc_mask: u64,
+}
+
+impl EventLayout {
+    /// File the packed words of a single-class 1901 population, or `None`
+    /// when its rings would exceed [`RING_BYTES_MAX`].
+    fn new(bcdc: &[u32], t: &ClassTable) -> Option<Self> {
+        let on = |&dc: &u32| dc != DC16_DISABLED;
+        let max_cw = t.cw.iter().copied().max().unwrap_or(0);
+        let max_dc = t.dc16.iter().copied().filter(on).max().unwrap_or(0);
+        // A station's current counters come from the same table, but the
+        // view is arbitrary data: size for them too.
+        let max_bc0 = bcdc.iter().map(|w| w & 0xFFFF).max().unwrap_or(0);
+        let max_dc0 = bcdc.iter().map(|w| w >> 16).filter(on).max().unwrap_or(0);
+        let tx_buckets = (max_cw as usize)
+            .max(max_bc0 as usize + 1)
+            .next_power_of_two();
+        let dc_buckets = (max_dc.max(max_dc0) as usize + 1).next_power_of_two();
+        let words = bcdc.len().div_ceil(64);
+        // One bitset word: the transmit clocks are scanned, not filed.
+        let tx_words = if words == 1 { 0 } else { tx_buckets * words };
+        let ring_words = tx_words.checked_add(dc_buckets.checked_mul(words)?)?;
+        if ring_words.checked_mul(8)? > RING_BYTES_MAX {
+            return None;
+        }
+        let mut ev = EventLayout {
+            slot: 0,
+            busy: 0,
+            tx_at: bcdc.iter().map(|w| (w & 0xFFFF) as u64).collect(),
+            dc_at: bcdc
+                .iter()
+                .map(|w| match w >> 16 {
+                    DC16_DISABLED => NEVER,
+                    dc => dc as u64,
+                })
+                .collect(),
+            words,
+            tx_ring: vec![0; tx_words],
+            tx_mask: tx_buckets as u64 - 1,
+            dc_ring: vec![0; dc_buckets * words],
+            dc_mask: dc_buckets as u64 - 1,
+        };
+        for i in 0..bcdc.len() {
+            if words > 1 {
+                let w = ev.tx_word(ev.tx_at[i], i);
+                ev.tx_ring[w] |= bit(i);
+            }
+            if ev.dc_at[i] != NEVER {
+                let w = ev.dc_word(ev.dc_at[i], i);
+                ev.dc_ring[w] |= bit(i);
+            }
+        }
+        Some(ev)
+    }
+
+    /// Index of station `i`'s word in transmit bucket `t`.
+    #[inline]
+    fn tx_word(&self, t: u64, i: usize) -> usize {
+        (t & self.tx_mask) as usize * self.words + i / 64
+    }
+
+    /// Index of station `i`'s word in deferral bucket `b`.
+    #[inline]
+    fn dc_word(&self, b: u64, i: usize) -> usize {
+        (b & self.dc_mask) as usize * self.words + i / 64
+    }
+
+    #[inline]
+    fn bc(&self, i: StationId) -> u32 {
+        (self.tx_at[i] - self.slot) as u32
+    }
+
+    /// Append the stations of the current transmit bucket (BC = 0), in
+    /// ascending order.
+    #[inline]
+    fn transmitters(&self, out: &mut Vec<StationId>) {
+        if self.words == 1 {
+            for (i, &at) in self.tx_at.iter().enumerate() {
+                if at == self.slot {
+                    out.push(i);
+                }
+            }
+            return;
+        }
+        let base = (self.slot & self.tx_mask) as usize * self.words;
+        for (w, &word) in self.tx_ring[base..base + self.words].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The contention cache after a slot: `zero` (empty on entry) gets
+    /// the transmitters of the new slot, and only when there are none
+    /// does `min_bc` get the minimum BC.
+    #[inline]
+    fn fold(&self, zero: &mut Vec<StationId>, min_bc: &mut u32) {
+        self.transmitters(zero);
+        if zero.is_empty() {
+            *min_bc = self.min_bc();
+        }
+    }
+
+    /// Minimum BC when no station transmits this slot (all BC > 0).
+    fn min_bc(&self) -> u32 {
+        let d = if self.words == 1 {
+            self.tx_at.iter().map(|&at| at - self.slot).min()
+        } else {
+            (1..=self.tx_mask).find(|&d| {
+                let base = ((self.slot + d) & self.tx_mask) as usize * self.words;
+                self.tx_ring[base..base + self.words]
+                    .iter()
+                    .any(|&w| w != 0)
+            })
+        };
+        d.map_or(u32::MAX, |d| d as u32)
+    }
+
+    /// One busy slot: visit `tx_ring[slot] | dc_ring[busy]` in ascending
+    /// station order, take each visited station out of both rings and
+    /// redraw it as 1901 does — stage from BPC (zeroed first for a
+    /// `Restart`), DC reloaded, BPC incremented, one RNG word for the BC
+    /// — filing the fresh clocks ahead of the advanced `slot`/`busy`.
+    /// `tx` must be the transmit bucket in ascending order (the
+    /// contender set), `actions` parallel to it.
+    fn busy_slot(
+        &mut self,
+        tx: &[StationId],
+        actions: &[SweepAction],
+        t: &ClassTable,
+        bpc: &mut [u32],
+        stage: &mut [u8],
+        rng: &mut SmallRng,
+    ) {
+        debug_assert!(
+            self.words > 1
+                || tx.len() == self.tx_at.iter().filter(|&&at| at == self.slot).count()
+                    && tx.iter().all(|&i| self.tx_at[i] == self.slot),
+            "transmitters must be the stations with BC = 0"
+        );
+        let tx_base = (self.slot & self.tx_mask) as usize * self.words;
+        let dc_base = (self.busy & self.dc_mask) as usize * self.words;
+        let (slot, busy) = (self.slot + 1, self.busy + 1);
+        let mut txi = 0usize;
+        for w in 0..self.words {
+            // The current buckets empty out: every station in them
+            // redraws. A redraw of this word filed a full lap ahead
+            // lands in them again, after this take, so it is not
+            // visited twice.
+            let tx_bits = if self.words == 1 {
+                tx.iter().fold(0, |bits, &i| bits | bit(i))
+            } else {
+                std::mem::take(&mut self.tx_ring[tx_base + w])
+            };
+            let mut bits = tx_bits | std::mem::take(&mut self.dc_ring[dc_base + w]);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let i = w * 64 + b as usize;
+                if tx_bits >> b & 1 != 0 {
+                    debug_assert_eq!(tx[txi], i, "transmitters must be the slot's bucket");
+                    if actions[txi] == SweepAction::Restart {
+                        bpc[i] = 0;
+                    }
+                    txi += 1;
+                    // Its DC may still be running: leave that bucket.
+                    if self.dc_at[i] != NEVER {
+                        let at = self.dc_word(self.dc_at[i], i);
+                        self.dc_ring[at] &= !bit(i);
+                    }
+                } else if self.words > 1 {
+                    // DC ran out while BC > 0: leave the transmit bucket.
+                    let at = self.tx_word(self.tx_at[i], i);
+                    self.tx_ring[at] &= !bit(i);
+                }
+                let s = bpc[i].min(t.last) as usize;
+                stage[i] = s as u8;
+                bpc[i] = bpc[i].saturating_add(1);
+                self.dc_at[i] = match t.dc16[s] {
+                    DC16_DISABLED => NEVER,
+                    dc => {
+                        let at = busy + dc as u64;
+                        let word = self.dc_word(at, i);
+                        self.dc_ring[word] |= bit(i);
+                        at
+                    }
+                };
+                let at = slot + draw_below(rng.next_u64(), t.cw[s]) as u64;
+                self.tx_at[i] = at;
+                if self.words > 1 {
+                    let word = self.tx_word(at, i);
+                    self.tx_ring[word] |= bit(i);
+                }
+            }
+        }
+        debug_assert_eq!(txi, tx.len(), "every transmitter must be in the bucket");
+        self.slot = slot;
+        self.busy = busy;
+    }
+}
+
+/// Station `i`'s bit within its bitset word.
+#[inline]
+fn bit(i: usize) -> u64 {
+    1 << (i % 64)
+}
+
 /// The struct-of-arrays contention state. See the [module docs](self).
 pub(crate) struct ContentionCore {
     n: usize,
-    /// Packed per-station `BC | DC << 16` words (see the module docs).
-    /// `u16` BC is exact: `CsmaConfig` caps CW at 2¹⁶, so every draw
-    /// from `0..cw` fits (checked again in [`from_views`]).
+    /// Packed per-station `BC | DC << 16` words: the BC/DC store of the
+    /// packed layout, empty under the event layout. `u16` BC is exact:
+    /// `CsmaConfig` caps CW at 2¹⁶, so every draw from `0..cw` fits
+    /// (checked again in [`from_views`]).
     bcdc: Vec<u32>,
+    /// The BC/DC store of the event-indexed layout, when the population
+    /// qualifies (all backlogged, one IEEE 1901 class, rings within
+    /// [`RING_BYTES_MAX`]). `None` selects the packed layout.
+    events: Option<EventLayout>,
     /// 1901: raw BPC (one past the stage in effect). DCF: retry count.
     /// Only touched on redraws — deliberately outside the packed word.
     bpc: Vec<u32>,
@@ -115,17 +428,13 @@ pub(crate) struct ContentionCore {
     /// Index into `classes`.
     class: Vec<u16>,
     /// Whether the station is backlogged (has a fresh frame queued or
-    /// errored PBs awaiting retransmission). Refreshed by the engine once
-    /// per step — and fixed up for the few stations whose queues change
-    /// mid-step — so the sweeps never touch `StationCtx`.
+    /// errored PBs awaiting retransmission). The engine keeps these in
+    /// step with the stations' queues, so the sweeps never touch
+    /// `StationCtx`.
     active: Vec<bool>,
     classes: Vec<ClassTable>,
-    /// Specialized-sweep eligibility: every station permanently
-    /// backlogged (saturated population) and one shared IEEE 1901 class,
-    /// so the busy loop needs no per-station `active`/protocol checks.
-    fast: bool,
-    /// Queued redraws of the current sweep: `(station, cw)` in ascending
-    /// station order — the draw order.
+    /// Queued redraws of the current packed sweep: `(station, cw)` in
+    /// ascending station order — the draw order.
     pending: Vec<(u32, u32)>,
     /// Per-sweep batch of raw RNG words, one per queued redraw.
     draws: Vec<u64>,
@@ -171,7 +480,6 @@ fn dc16_of(dc: u32) -> Option<u32> {
         None
     }
 }
-
 /// Why a station population cannot be hosted in the packed
 /// struct-of-arrays core. The engine then falls back to the per-object
 /// path — results are identical, only the busy-slot sweep is slower —
@@ -286,11 +594,52 @@ impl ContentionCore {
 
     /// [`from_views`](Self::from_views) surfacing *why* the views cannot
     /// be packed, so the engine can report the fallback instead of
-    /// silently taking the per-object path.
+    /// silently taking the per-object path. An all-backlogged (`all_active`)
+    /// single-class IEEE 1901 population gets the event-indexed layout
+    /// unless its rings would exceed [`RING_BYTES_MAX`]; that fallback is
+    /// not a rejection — the packed layout hosts it with identical
+    /// results, and the module docs say what it costs.
     pub(crate) fn try_from_views(
         views: &[SoaView],
         all_active: bool,
     ) -> std::result::Result<Self, CoreRejection> {
+        let core = Self::try_arrays(views, all_active)?;
+        if all_active && core.classes.len() == 1 && core.classes[0].proto == PROTO_1901 {
+            if let Some(ev) = EventLayout::new(&core.bcdc, &core.classes[0]) {
+                // It redraws as it visits: no packed words, redraw queue
+                // or fold scratch.
+                return Ok(ContentionCore {
+                    events: Some(ev),
+                    bcdc: Vec::new(),
+                    ..core
+                });
+            }
+        }
+        Ok(core.with_packed_scratch())
+    }
+
+    /// The packed layout, whatever the population.
+    #[cfg(test)]
+    fn try_packed(views: &[SoaView], all_active: bool) -> std::result::Result<Self, CoreRejection> {
+        Ok(Self::try_arrays(views, all_active)?.with_packed_scratch())
+    }
+
+    /// The packed sweep's redraw queue and fold scratch, sized for every
+    /// station at once so no sweep ever grows them.
+    fn with_packed_scratch(self) -> Self {
+        let n = self.n;
+        ContentionCore {
+            pending: Vec::with_capacity(n),
+            draws: Vec::with_capacity(n),
+            redraw_zero: Vec::with_capacity(n),
+            merge_buf: Vec::with_capacity(n),
+            ..self
+        }
+    }
+
+    /// The per-station arrays and class tables, checked against the
+    /// packed domain, with BC and DC in `bcdc`.
+    fn try_arrays(views: &[SoaView], all_active: bool) -> std::result::Result<Self, CoreRejection> {
         let n = views.len();
         if n == 0 {
             return Err(CoreRejection::Empty);
@@ -302,17 +651,17 @@ impl ContentionCore {
         let mut core = ContentionCore {
             n,
             bcdc: Vec::with_capacity(n),
+            events: None,
             bpc: Vec::with_capacity(n),
             stage: Vec::with_capacity(n),
             proto: Vec::with_capacity(n),
             class: Vec::with_capacity(n),
             active: vec![all_active; n],
             classes: Vec::new(),
-            fast: false,
-            pending: Vec::with_capacity(n),
-            draws: Vec::with_capacity(n),
-            redraw_zero: Vec::with_capacity(n),
-            merge_buf: Vec::with_capacity(n),
+            pending: Vec::new(),
+            draws: Vec::new(),
+            redraw_zero: Vec::new(),
+            merge_buf: Vec::new(),
         };
         for (station, v) in views.iter().enumerate() {
             if v.stages.is_empty() || v.stages.len() > 256 {
@@ -374,7 +723,6 @@ impl ContentionCore {
             core.proto.push(classes[class].2.proto);
             core.class.push(class as u16);
         }
-        core.fast = all_active && classes.len() == 1 && classes[0].2.proto == PROTO_1901;
         core.classes = classes.into_iter().map(|(_, _, t)| t).collect();
         Ok(core)
     }
@@ -382,32 +730,60 @@ impl ContentionCore {
     /// Current backoff counter of station `i`.
     #[inline]
     pub(crate) fn bc_of(&self, i: StationId) -> u32 {
-        self.bcdc[i] & 0xFFFF
-    }
-
-    /// Mark station `i` backlogged or drained. Draining a station
-    /// permanently demotes the core off the specialized all-backlogged
-    /// sweep (the engine only calls this for non-saturated populations,
-    /// which never qualify in the first place).
-    #[inline]
-    pub(crate) fn set_active(&mut self, i: StationId, active: bool) {
-        self.active[i] = active;
-        if !active {
-            self.fast = false;
+        match &self.events {
+            Some(ev) => ev.bc(i),
+            None => self.bcdc[i] & 0xFFFF,
         }
     }
 
-    /// Absorb `k` guaranteed-idle slots for station `i` (fast-forward).
+    /// Mark station `i` backlogged or drained. Only for cores built
+    /// without `all_active` — the engine calls this for non-saturated
+    /// populations alone — so never for the event layout, which holds
+    /// all-backlogged populations only.
     #[inline]
-    pub(crate) fn consume_idle(&mut self, i: StationId, k: u32) {
-        debug_assert!(k <= self.bc_of(i), "cannot skip past BC = 0");
-        self.bcdc[i] -= k;
+    pub(crate) fn set_active(&mut self, i: StationId, active: bool) {
+        debug_assert!(
+            self.events.is_none(),
+            "backlog is fixed in the event layout"
+        );
+        self.active[i] = active;
+    }
+
+    /// Absorb `k` guaranteed-idle slots (fast-forward: every backlogged
+    /// station has `BC ≥ k`) and rebuild the contention cache, as
+    /// [`idle_sweep`](Self::idle_sweep) does for one slot.
+    #[inline]
+    pub(crate) fn skip_idle(&mut self, k: u32, zero: &mut Vec<StationId>, min_bc: &mut u32) {
+        if let Some(ev) = &mut self.events {
+            debug_assert!(
+                ev.tx_at.iter().all(|&at| at - ev.slot >= k as u64),
+                "cannot skip past BC = 0"
+            );
+            ev.slot += k as u64;
+            ev.fold(zero, min_bc);
+            return;
+        }
+        for i in 0..self.n {
+            if self.active[i] {
+                debug_assert!(k <= self.bcdc[i] & 0xFFFF, "cannot skip past BC = 0");
+                let bc = (self.bcdc[i] & 0xFFFF) - k;
+                self.bcdc[i] -= k;
+                if bc == 0 {
+                    zero.push(i);
+                } else {
+                    *min_bc = (*min_bc).min(bc);
+                }
+            }
+        }
     }
 
     /// Collect the transmitter set: backlogged stations with `BC == 0`,
     /// in ascending station order (the engine's scan order).
     #[inline]
     pub(crate) fn contenders(&self, out: &mut Vec<StationId>) {
+        if let Some(ev) = &self.events {
+            return ev.transmitters(out);
+        }
         for i in 0..self.n {
             if self.active[i] && self.bcdc[i] & 0xFFFF == 0 {
                 out.push(i);
@@ -423,6 +799,17 @@ impl ContentionCore {
         zero: &mut Vec<StationId>,
         min_bc: &mut u32,
     ) {
+        if let Some(ev) = &mut self.events {
+            debug_assert!(
+                ev.tx_at.iter().all(|&at| at > ev.slot),
+                "station with BC == 0 must transmit, not idle"
+            );
+            ev.slot += 1;
+            if TRACK {
+                ev.fold(zero, min_bc);
+            }
+            return;
+        }
         for i in 0..self.n {
             if self.active[i] {
                 debug_assert!(
@@ -446,9 +833,7 @@ impl ContentionCore {
     /// A successful transmission by `w`: the winner restarts at stage 0,
     /// every other backlogged station senses the medium busy. With
     /// `TRACK`, rebuilds the contention cache in the same pass (fused —
-    /// no separate fold sweep): stations whose BC is final fold inline,
-    /// redrawn stations fold as their draw lands, and the two ascending
-    /// zero sets merge at the end.
+    /// no separate fold sweep; see the module docs).
     #[inline]
     pub(crate) fn success_sweep<const TRACK: bool>(
         &mut self,
@@ -457,24 +842,26 @@ impl ContentionCore {
         zero: &mut Vec<StationId>,
         min_bc: &mut u32,
     ) {
-        self.pending.clear();
-        if self.fast {
-            for i in 0..self.n {
-                if i == w {
-                    // Stage-0 re-entry: zero BPC, then the shared redraw.
-                    self.bpc[i] = 0;
-                    self.queue_redraw_1901(i);
-                } else {
-                    self.busy_1901::<TRACK>(i, zero, min_bc);
-                }
+        if let Some(ev) = &mut self.events {
+            ev.busy_slot(
+                std::slice::from_ref(&w),
+                &[SweepAction::Restart],
+                &self.classes[0],
+                &mut self.bpc,
+                &mut self.stage,
+                rng,
+            );
+            if TRACK {
+                ev.fold(zero, min_bc);
             }
-        } else {
-            for i in 0..self.n {
-                if i == w {
-                    self.queue_restart(i);
-                } else if self.active[i] {
-                    self.busy_one::<TRACK>(i, zero, min_bc);
-                }
+            return;
+        }
+        self.pending.clear();
+        for i in 0..self.n {
+            if i == w {
+                self.queue_restart(i);
+            } else if self.active[i] {
+                self.busy_one::<TRACK>(i, zero, min_bc);
             }
         }
         self.apply_draws::<TRACK>(rng, zero, min_bc);
@@ -494,33 +881,31 @@ impl ContentionCore {
         min_bc: &mut u32,
     ) {
         debug_assert_eq!(tx.len(), actions.len());
+        if let Some(ev) = &mut self.events {
+            ev.busy_slot(
+                tx,
+                actions,
+                &self.classes[0],
+                &mut self.bpc,
+                &mut self.stage,
+                rng,
+            );
+            if TRACK {
+                ev.fold(zero, min_bc);
+            }
+            return;
+        }
         self.pending.clear();
         let mut txi = 0usize;
-        if self.fast {
-            // Both 1901 sweep actions funnel into the BPC-driven redraw;
-            // a Restart (retry-limit drop) zeroes BPC first.
-            for i in 0..self.n {
-                if txi < tx.len() && tx[txi] == i {
-                    if actions[txi] == SweepAction::Restart {
-                        self.bpc[i] = 0;
-                    }
-                    txi += 1;
-                    self.queue_redraw_1901(i);
-                } else {
-                    self.busy_1901::<TRACK>(i, zero, min_bc);
+        for i in 0..self.n {
+            if txi < tx.len() && tx[txi] == i {
+                match actions[txi] {
+                    SweepAction::Restart => self.queue_restart(i),
+                    SweepAction::Advance => self.queue_advance(i),
                 }
-            }
-        } else {
-            for i in 0..self.n {
-                if txi < tx.len() && tx[txi] == i {
-                    match actions[txi] {
-                        SweepAction::Restart => self.queue_restart(i),
-                        SweepAction::Advance => self.queue_advance(i),
-                    }
-                    txi += 1;
-                } else if self.active[i] {
-                    self.busy_one::<TRACK>(i, zero, min_bc);
-                }
+                txi += 1;
+            } else if self.active[i] {
+                self.busy_one::<TRACK>(i, zero, min_bc);
             }
         }
         self.apply_draws::<TRACK>(rng, zero, min_bc);
@@ -531,6 +916,10 @@ impl ContentionCore {
     /// Never folds — the engine rebuilds the cache after arrival resets.
     #[inline]
     pub(crate) fn reset_now(&mut self, i: StationId, rng: &mut SmallRng) {
+        debug_assert!(
+            self.events.is_none(),
+            "arrivals never reach the event layout"
+        );
         self.pending.clear();
         self.queue_restart(i);
         let (mut unused_zero, mut unused_min) = (Vec::new(), u32::MAX);
@@ -542,13 +931,24 @@ impl ContentionCore {
     pub(crate) fn snapshot(&self, i: StationId) -> BackoffSnapshot {
         let t = &self.classes[self.class[i] as usize];
         let stage = self.stage[i] as usize;
-        let word = self.bcdc[i];
-        let dc16 = word >> 16;
+        let (bc, dc) = match &self.events {
+            Some(ev) => (
+                ev.bc(i),
+                (ev.dc_at[i] != NEVER).then(|| (ev.dc_at[i] - ev.busy) as u32),
+            ),
+            None => {
+                let dc16 = self.bcdc[i] >> 16;
+                (
+                    self.bcdc[i] & 0xFFFF,
+                    (dc16 != DC16_DISABLED).then_some(dc16),
+                )
+            }
+        };
         BackoffSnapshot {
             stage,
             cw: t.cw[stage],
-            bc: word & 0xFFFF,
-            dc: (dc16 != DC16_DISABLED).then_some(dc16),
+            bc,
+            dc,
             bpc: if self.proto[i] == PROTO_1901 {
                 self.bpc[i].saturating_sub(1)
             } else {
@@ -557,18 +957,28 @@ impl ContentionCore {
         }
     }
 
-    /// Specialized busy-slot update for the all-backlogged 1901
-    /// population: one packed word in, one out (see the module docs).
+    /// Busy-slot semantics for one non-transmitting backlogged station:
+    /// one packed word in, one out (see the module docs). With `TRACK`,
+    /// stations whose BC is final after this slot fold into the cache
+    /// here; queued redraws fold in [`apply_draws`](Self::apply_draws)
+    /// instead.
     #[inline]
-    fn busy_1901<const TRACK: bool>(
+    fn busy_one<const TRACK: bool>(
         &mut self,
         i: usize,
         zero: &mut Vec<StationId>,
         min_bc: &mut u32,
     ) {
         let word = self.bcdc[i];
-        if word >= 0x10000 {
-            // DC > 0: BC -= 1, DC -= 1 unless disabled.
+        if self.proto[i] == PROTO_DCF {
+            // DCF freezes the backoff counter while the medium is busy; a
+            // deferring station's BC is positive (else it would have
+            // transmitted), so it folds into the minimum.
+            if TRACK {
+                *min_bc = (*min_bc).min(word & 0xFFFF);
+            }
+        } else if word >= 0x10000 {
+            // 1901 with DC > 0: BC -= 1, DC -= 1 unless disabled.
             debug_assert!(word & 0xFFFF > 0, "station with BC == 0 must transmit");
             let word = word - 1 - ((((word >> 16) != DC16_DISABLED) as u32) << 16);
             self.bcdc[i] = word;
@@ -581,31 +991,9 @@ impl ContentionCore {
                 }
             }
         } else {
-            // Sensed busy while DC = 0: jump to the next backoff stage
-            // without attempting a transmission.
+            // 1901 sensing busy while DC = 0: jump to the next backoff
+            // stage without attempting a transmission.
             self.queue_redraw_1901(i);
-        }
-    }
-
-    /// Busy-slot semantics for one non-transmitting backlogged station
-    /// (generic path: mixed protocols or dynamic backlog). With `TRACK`,
-    /// stations whose BC is final after this slot fold into the cache
-    /// here; queued redraws fold in [`apply_draws`](Self::apply_draws)
-    /// instead.
-    #[inline]
-    fn busy_one<const TRACK: bool>(
-        &mut self,
-        i: usize,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        if self.proto[i] == PROTO_1901 {
-            self.busy_1901::<TRACK>(i, zero, min_bc);
-        } else if TRACK {
-            // DCF freezes the backoff counter while the medium is busy; a
-            // deferring station's BC is positive (else it would have
-            // transmitted), so it folds into the minimum.
-            *min_bc = (*min_bc).min(self.bcdc[i] & 0xFFFF);
         }
     }
 
@@ -678,7 +1066,7 @@ impl ContentionCore {
             self.redraw_zero.clear();
         }
         for (&(i, cw), &x) in self.pending.iter().zip(&self.draws) {
-            let bc = (((x as u128) * (cw as u128)) >> 64) as u32;
+            let bc = draw_below(x, cw);
             let i = i as usize;
             self.bcdc[i] = pack(bc, self.bcdc[i] >> 16);
             if TRACK && self.active[i] {
@@ -777,35 +1165,57 @@ pub mod bench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plc_core::config::CsmaConfig;
     use plc_mac::process::BackoffProcess;
     use plc_mac::{Backoff1901, BackoffDcf};
     use rand::SeedableRng;
 
-    fn core_of<P: BackoffProcess>(ps: &[P]) -> ContentionCore {
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        ContentionCore::from_views(&views, true).unwrap()
+    fn views_of<P: BackoffProcess>(ps: &[P]) -> Vec<SoaView> {
+        ps.iter().map(|p| p.soa_view().unwrap()).collect()
     }
 
-    /// The fused fold must equal a from-scratch scan of the core.
+    /// The core the engine would build for a saturated population.
+    fn core_of<P: BackoffProcess>(ps: &[P]) -> ContentionCore {
+        ContentionCore::from_views(&views_of(ps), true).unwrap()
+    }
+
+    /// `n` saturated 1901 stations on the (CW, DC) table.
+    fn stations_1901(n: usize, cw: &[u32], dc: &[u32], seed: u64) -> Vec<Backoff1901> {
+        let cfg = CsmaConfig::from_vectors(cw, dc).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Backoff1901::new(cfg.clone(), &mut rng))
+            .collect()
+    }
+
+    /// The fused fold must equal a from-scratch scan of the core. The
+    /// minimum BC is read only when no station transmits next, and only
+    /// then does the event layout compute it.
     fn assert_cache(core: &ContentionCore, zero: &[usize], min: u32, slot: usize) {
         let want_zero: Vec<usize> = (0..core.n)
             .filter(|&i| core.active[i] && core.bc_of(i) == 0)
             .collect();
-        let want_min = (0..core.n)
-            .filter(|&i| core.active[i] && core.bc_of(i) > 0)
-            .map(|i| core.bc_of(i))
-            .min()
-            .unwrap_or(u32::MAX);
         assert_eq!(zero, want_zero, "slot {slot} fused zero set");
-        assert_eq!(min, want_min, "slot {slot} fused min BC");
+        if zero.is_empty() || core.events.is_none() {
+            let want_min = (0..core.n)
+                .filter(|&i| core.active[i] && core.bc_of(i) > 0)
+                .map(|i| core.bc_of(i))
+                .min()
+                .unwrap_or(u32::MAX);
+            assert_eq!(min, want_min, "slot {slot} fused min BC");
+        }
     }
 
     /// Drive the same slot sequence through process objects and through
-    /// the core with cloned RNGs, emulating the engine's loop (scan →
-    /// idle / success / collision): every counter snapshot and the final
-    /// RNG states must agree at every slot.
-    fn mirror_slots<P: BackoffProcess>(ps: &mut [P], slots: usize, seed: u64) {
-        let mut core = core_of(ps);
+    /// `core` with cloned RNGs, emulating the engine's loop (scan →
+    /// idle / success / collision): the fused cache, every counter
+    /// snapshot and the RNG states must agree at every slot.
+    fn mirror_slots<P: BackoffProcess>(
+        ps: &mut [P],
+        core: &mut ContentionCore,
+        slots: usize,
+        seed: u64,
+    ) {
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = rng_a.clone();
         for slot in 0..slots {
@@ -815,27 +1225,16 @@ mod tests {
                 .filter(|(_, p)| p.wants_tx())
                 .map(|(i, _)| i)
                 .collect();
+            let mut core_tx = Vec::new();
+            core.contenders(&mut core_tx);
+            assert_eq!(core_tx, tx, "slot {slot} contenders");
+            let (mut zero, mut min) = (Vec::new(), u32::MAX);
             match tx.len() {
                 0 => {
                     for p in ps.iter_mut() {
                         p.on_idle_slot(&mut rng_a);
                     }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
                     core.idle_sweep::<true>(&mut zero, &mut min);
-                    let want_zero: Vec<usize> = ps
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.wants_tx())
-                        .map(|(i, _)| i)
-                        .collect();
-                    let want_min = ps
-                        .iter()
-                        .filter_map(|p| p.idle_skip())
-                        .filter(|&b| b > 0)
-                        .min()
-                        .unwrap_or(u32::MAX);
-                    assert_eq!(zero, want_zero, "slot {slot} zero set");
-                    assert_eq!(min, want_min, "slot {slot} min BC");
                 }
                 1 => {
                     let w = tx[0];
@@ -846,9 +1245,7 @@ mod tests {
                             p.on_busy(&mut rng_a);
                         }
                     }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
                     core.success_sweep::<true>(w, &mut rng_b, &mut zero, &mut min);
-                    assert_cache(&core, &zero, min, slot);
                 }
                 _ => {
                     // Alternate drop/advance to cover both actions.
@@ -874,11 +1271,10 @@ mod tests {
                             p.on_busy(&mut rng_a);
                         }
                     }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
                     core.collision_sweep::<true>(&tx, &actions, &mut rng_b, &mut zero, &mut min);
-                    assert_cache(&core, &zero, min, slot);
                 }
             }
+            assert_cache(core, &zero, min, slot);
             for (i, p) in ps.iter().enumerate() {
                 assert_eq!(p.snapshot(), core.snapshot(i), "slot {slot} station {i}");
                 assert_eq!(p.wants_tx(), core.bc_of(i) == 0, "slot {slot} station {i}");
@@ -893,67 +1289,52 @@ mod tests {
         let mut ps: Vec<Backoff1901> = (0..4)
             .map(|_| Backoff1901::default_ca1(&mut seed_rng))
             .collect();
-        mirror_slots(&mut ps, 500, 99);
+        let mut core = core_of(&ps);
+        assert!(core.events.is_some());
+        mirror_slots(&mut ps, &mut core, 500, 99);
     }
 
     #[test]
     fn mirrors_object_transitions_1901_generic_path() {
-        // Same transitions with the specialized sweep demoted: the
-        // generic (per-station checks) path must agree station for
-        // station with the fast path and the objects.
+        // The same population on the packed layout: the generic sweep
+        // (per-station checks) must agree station for station with the
+        // objects, as the event layout does.
         let mut seed_rng = SmallRng::seed_from_u64(7);
         let mut ps: Vec<Backoff1901> = (0..4)
             .map(|_| Backoff1901::default_ca1(&mut seed_rng))
             .collect();
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        let mut core = ContentionCore::from_views(&views, true).unwrap();
-        assert!(core.fast);
-        core.fast = false;
-        let mut rng_a = SmallRng::seed_from_u64(99);
-        let mut rng_b = rng_a.clone();
-        for slot in 0..500 {
-            let tx: Vec<usize> = ps
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.wants_tx())
-                .map(|(i, _)| i)
-                .collect();
-            let (mut zero, mut min) = (Vec::new(), u32::MAX);
-            match tx.len() {
-                0 => {
-                    for p in ps.iter_mut() {
-                        p.on_idle_slot(&mut rng_a);
-                    }
-                    core.idle_sweep::<true>(&mut zero, &mut min);
-                }
-                1 => {
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if i == tx[0] {
-                            p.on_tx_success(&mut rng_a);
-                        } else {
-                            p.on_busy(&mut rng_a);
-                        }
-                    }
-                    core.success_sweep::<true>(tx[0], &mut rng_b, &mut zero, &mut min);
-                }
-                _ => {
-                    let actions = vec![SweepAction::Advance; tx.len()];
-                    let mut txi = 0usize;
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if txi < tx.len() && tx[txi] == i {
-                            p.on_tx_failure(&mut rng_a);
-                            txi += 1;
-                        } else {
-                            p.on_busy(&mut rng_a);
-                        }
-                    }
-                    core.collision_sweep::<true>(&tx, &actions, &mut rng_b, &mut zero, &mut min);
-                }
-            }
-            for (i, p) in ps.iter().enumerate() {
-                assert_eq!(p.snapshot(), core.snapshot(i), "slot {slot} station {i}");
-            }
-            assert_eq!(rng_a, rng_b, "RNG streams diverged at slot {slot}");
+        let mut core = ContentionCore::try_packed(&views_of(&ps), true).unwrap();
+        assert!(core.events.is_none());
+        mirror_slots(&mut ps, &mut core, 500, 99);
+    }
+
+    #[test]
+    fn mirrors_event_layout_across_bitset_words() {
+        // Three bitset words per bucket, long enough for deep stages and
+        // many laps of both rings.
+        let mut ps = stations_1901(130, &[8, 16, 32, 64], &[0, 1, 3, 15], 11);
+        let mut core = core_of(&ps);
+        assert!(core.events.is_some());
+        mirror_slots(&mut ps, &mut core, 20_000, 12);
+    }
+
+    #[test]
+    fn mirrors_event_layout_wide_windows_and_disabled_deferral() {
+        // A CW-8192 stage (8192-bucket transmit ring, which the slot
+        // clock laps), deferral off, and one- and two-word buckets on
+        // both sides of the N ≤ 64 minimum-BC scan.
+        let off = [DC_DISABLED; 4];
+        let cases: [(usize, &[u32], &[u32], usize); 4] = [
+            (5, &[128, 512, 2048, 8192], &[0, 1, 3, 15], 40_000),
+            (65, &[128, 512, 2048, 8192], &[0, 1, 3, 15], 40_000),
+            (64, &[16, 32, 64, 128], &off, 5_000),
+            (65, &[16, 32, 64, 128], &off, 5_000),
+        ];
+        for (n, cw, dc, slots) in cases {
+            let mut ps = stations_1901(n, cw, dc, n as u64);
+            let mut core = core_of(&ps);
+            assert!(core.events.is_some(), "N = {n}");
+            mirror_slots(&mut ps, &mut core, slots, 3);
         }
     }
 
@@ -961,7 +1342,8 @@ mod tests {
     fn mirrors_object_transitions_dcf() {
         let mut seed_rng = SmallRng::seed_from_u64(3);
         let mut ps: Vec<BackoffDcf> = (0..3).map(|_| BackoffDcf::classic(&mut seed_rng)).collect();
-        mirror_slots(&mut ps, 400, 5);
+        let mut core = core_of(&ps);
+        mirror_slots(&mut ps, &mut core, 400, 5);
     }
 
     #[test]
@@ -989,16 +1371,28 @@ mod tests {
     }
 
     #[test]
-    fn dedups_classes_and_detects_fast_population() {
+    fn dedups_classes_and_picks_the_layout() {
         let mut rng = SmallRng::seed_from_u64(1);
         let ps: Vec<Backoff1901> = (0..10)
             .map(|_| Backoff1901::default_ca1(&mut rng))
             .collect();
         let core = core_of(&ps);
         assert_eq!(core.classes.len(), 1);
-        assert!(core.fast, "saturated single-class 1901 qualifies");
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        let lazy = ContentionCore::from_views(&views, false).unwrap();
-        assert!(!lazy.fast, "dynamic backlog never qualifies");
+        assert!(
+            core.events.is_some() && core.bcdc.is_empty(),
+            "saturated single-class 1901 takes the event layout"
+        );
+        let lazy = ContentionCore::from_views(&views_of(&ps), false).unwrap();
+        assert!(lazy.events.is_none(), "dynamic backlog never qualifies");
+        let dcf: Vec<BackoffDcf> = (0..10).map(|_| BackoffDcf::classic(&mut rng)).collect();
+        assert!(core_of(&dcf).events.is_none(), "DCF stays packed");
+        // CW 8192 at N = 1000: (8192 + 16) buckets × 16 words × 8 bytes
+        // overflow the ring cap; at N = 500 (8 words) they fit.
+        let wide = |n| stations_1901(n, &[128, 512, 2048, 8192], &[0, 1, 3, 15], 2);
+        assert!(
+            core_of(&wide(1000)).events.is_none(),
+            "oversized rings stay packed"
+        );
+        assert!(core_of(&wide(500)).events.is_some());
     }
 }

@@ -248,6 +248,14 @@ enum StepKind {
     Collision,
 }
 
+/// Deliver `ev` to every sink. A free function so the busy branches can
+/// emit while they hold the contention core.
+fn emit_to(sinks: &[SharedSink], ev: &TraceEvent) {
+    for sink in sinks {
+        sink.lock().on_event(ev);
+    }
+}
+
 /// The slotted single-contention-domain engine. See the [module
 /// docs](self).
 pub struct SlottedEngine<P: BackoffProcess> {
@@ -278,9 +286,11 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// Contention-state cache for the fast-forward run loops: when
     /// `hint_valid`, `zero_bc` holds exactly the backlogged stations whose
     /// process transmits this slot (ascending station order — the same
-    /// order the contend scan produces) and `min_bc` the minimum backoff
-    /// counter over backlogged stations with `BC > 0` (`u32::MAX` when
-    /// none). Maintained by the `TRACK = true` step path by folding
+    /// order the contend scan produces) and, when `zero_bc` is empty,
+    /// `min_bc` the minimum backoff counter over backlogged stations
+    /// (`u32::MAX` when none). With transmitters pending `min_bc` is
+    /// never read, and the event-indexed core does not compute it.
+    /// Maintained by the `TRACK = true` step path by folding
     /// [`BackoffProcess::idle_skip`] into the mutation loops it already
     /// runs, so the per-step contention rescan disappears; any mutation
     /// outside those loops (traffic reset, external `step()` calls)
@@ -397,7 +407,17 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 .collect::<Option<Vec<_>>>()
             {
                 Some(views) => match ContentionCore::try_from_views(&views, all_saturated) {
-                    Ok(core) => Some(core),
+                    Ok(mut core) => {
+                        // The backlog flags mirror the queues between
+                        // steps, from the start: fast-forward folds its
+                        // jump length and consumes idle slots by them.
+                        if !all_saturated {
+                            for (i, st) in stations.iter().enumerate() {
+                                core.set_active(i, st.traffic.has_frame() || !st.retx.is_empty());
+                            }
+                        }
+                        Some(core)
+                    }
                     Err(why) => {
                         soa_rejection = Some(why);
                         None
@@ -600,17 +620,18 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 return 0;
             }
             self.min_bc
-        } else if let Some(core) = &self.core {
+        } else if let Some(core) = &mut self.core {
+            // Skipping no slots folds the cache from the core's own
+            // backlog flags without changing its state.
+            let mut zero = std::mem::take(&mut self.zero_bc);
+            zero.clear();
             let mut k = u32::MAX;
-            for (i, st) in self.stations.iter().enumerate() {
-                if st.traffic.has_frame() || !st.retx.is_empty() {
-                    let bc = core.bc_of(i);
-                    if bc == 0 {
-                        // A station transmits this slot: step normally.
-                        return 0;
-                    }
-                    k = k.min(bc);
-                }
+            core.skip_idle(0, &mut zero, &mut k);
+            let transmits = !zero.is_empty();
+            self.zero_bc = zero;
+            if transmits {
+                // A station transmits this slot: step normally.
+                return 0;
             }
             k
         } else {
@@ -662,17 +683,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             let mut min = u32::MAX;
             let mut poisoned = false;
             if let Some(core) = &mut self.core {
-                for (i, st) in self.stations.iter().enumerate() {
-                    if st.traffic.has_frame() || !st.retx.is_empty() {
-                        core.consume_idle(i, skipped as u32);
-                        let bc = core.bc_of(i);
-                        if bc == 0 {
-                            zero.push(i);
-                        } else {
-                            min = min.min(bc);
-                        }
-                    }
-                }
+                core.skip_idle(skipped as u32, &mut zero, &mut min);
             } else {
                 for (i, st) in self.stations.iter_mut().enumerate() {
                     if st.traffic.has_frame() || !st.retx.is_empty() {
@@ -706,9 +717,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     }
 
     fn emit(&mut self, ev: TraceEvent) {
-        for sink in &self.sinks {
-            sink.lock().on_event(&ev);
-        }
+        emit_to(&self.sinks, &ev);
     }
 
     /// The SoF delimiter station `i` puts on the wire, `remaining` MPDUs
@@ -1018,20 +1027,16 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 }
 
                 // Winner resets; everyone else with traffic sensed busy.
-                if self.core.is_some() {
+                if let Some(core) = &mut self.core {
                     // Engine-level bookkeeping first (consumes no RNG
-                    // draws), then the batched sweep redraws in ascending
-                    // station order — the per-object draw order.
-                    self.stations[w].retry = RetryState::new();
-                    self.stations[w].traffic.consume(fresh_consumed);
+                    // draws), then the sweep redraws in ascending station
+                    // order — the per-object draw order.
+                    let st = &mut self.stations[w];
+                    st.retry = RetryState::new();
+                    st.traffic.consume(fresh_consumed);
                     if !self.all_saturated {
-                        let a = self.stations[w].traffic.has_frame()
-                            || !self.stations[w].retx.is_empty();
-                        if let Some(core) = &mut self.core {
-                            core.set_active(w, a);
-                        }
+                        core.set_active(w, st.traffic.has_frame() || !st.retx.is_empty());
                     }
-                    let core = self.core.as_mut().expect("checked above");
                     core.success_sweep::<TRACK>(w, &mut self.rng, &mut zero, &mut min_bc);
                 } else {
                     for i in 0..self.stations.len() {
@@ -1120,40 +1125,33 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     }
                 }
 
-                if self.core.is_some() {
+                if let Some(core) = &mut self.core {
                     // Engine-level retry/drop bookkeeping first — it
                     // consumes no RNG draws and only emits `FrameDropped`
                     // events, which the per-object loop also emits before
-                    // the `Collision` event — then the batched sweep
-                    // redraws in ascending station order.
+                    // the `Collision` event — then the sweep redraws in
+                    // ascending station order.
                     let mut actions = std::mem::take(&mut self.action_buf);
                     actions.clear();
                     for &i in &tx {
-                        let dropped = self.stations[i].retry.record_failure(self.cfg.retry);
-                        if dropped {
-                            self.stations[i].retry = RetryState::new();
+                        let st = &mut self.stations[i];
+                        if st.retry.record_failure(self.cfg.retry) {
+                            st.retry = RetryState::new();
                             // Drop the head-of-line unit: a pending
                             // retransmission if any, else a queued frame.
-                            if self.stations[i].retx.pop_front().is_none() {
-                                self.stations[i].traffic.consume(1);
+                            if st.retx.pop_front().is_none() {
+                                st.traffic.consume(1);
                             }
                             self.metrics.per_station[i].dropped += 1;
-                            self.emit(TraceEvent::FrameDropped { t: t0, station: i });
+                            emit_to(&self.sinks, &TraceEvent::FrameDropped { t: t0, station: i });
                             actions.push(SweepAction::Restart);
                         } else {
                             actions.push(SweepAction::Advance);
                         }
-                    }
-                    if !self.all_saturated {
-                        for &i in &tx {
-                            let a = self.stations[i].traffic.has_frame()
-                                || !self.stations[i].retx.is_empty();
-                            if let Some(core) = &mut self.core {
-                                core.set_active(i, a);
-                            }
+                        if !self.all_saturated {
+                            core.set_active(i, st.traffic.has_frame() || !st.retx.is_empty());
                         }
                     }
-                    let core = self.core.as_mut().expect("checked above");
                     core.collision_sweep::<TRACK>(
                         &tx,
                         &actions,

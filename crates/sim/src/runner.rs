@@ -573,22 +573,6 @@ impl Simulation {
         Ok(())
     }
 
-    /// Build with the given sinks attached, run, and summarize.
-    ///
-    /// Deprecated: every internal call site now goes through
-    /// [`sink`](Simulation::sink) + [`run`](Simulation::run); only the
-    /// compatibility test below still calls this. It will be **removed in
-    /// 0.2.0** along with its test.
-    #[deprecated(
-        since = "0.1.0",
-        note = "attach sinks with Simulation::sink(...) and call run(); removal planned for 0.2.0"
-    )]
-    pub fn run_with_sinks(&self, sinks: Vec<SharedSink>) -> SimReport {
-        let mut with = self.clone();
-        with.sinks.extend(sinks);
-        with.run()
-    }
-
     /// Run `repeats` replications with distinct derived seeds and return
     /// each report (the paper averages 10 testbed runs per point).
     ///
@@ -853,21 +837,6 @@ mod tests {
         let c = *sink.lock();
         assert_eq!(c.successes, r.successes);
         assert_eq!(c.collisions, r.metrics.collision_events);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_with_sinks_matches_builder_sink() {
-        use crate::trace::CountingSink;
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-        let sim = Simulation::ieee1901(2).horizon_us(5e5).seed(9);
-        let a_sink = Arc::new(Mutex::new(CountingSink::default()));
-        let a = sim.clone().sink(a_sink.clone()).run();
-        let b_sink = Arc::new(Mutex::new(CountingSink::default()));
-        let b = sim.run_with_sinks(vec![b_sink.clone()]);
-        assert_eq!(a, b);
-        assert_eq!(*a_sink.lock(), *b_sink.lock());
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! * panics inside a replication are **contained** per point
 //!   ([`SweepPointResult::Failed`]), optionally replayed under a
 //!   [`SweepGrid::retries`] budget (same seeds, so a recovered retry is
-//!   byte-identical to a first-try success), and
-//!   [`SweepGrid::run_with_checkpoint`] persists finished points so an
-//!   interrupted sweep resumes instead of restarting;
+//!   byte-identical to a first-try success);
 //! * [`SweepGrid::run_point_at`] / [`SweepGrid::run_point_with`] expose
 //!   single-point evaluation (with optional cooperative cancellation)
 //!   for external job engines that journal and resume points
@@ -137,10 +135,10 @@ where
 /// &result)` from the **calling thread** (the result collector) as each
 /// item completes, in completion order.
 ///
-/// `on_result` sees results before input-order reassembly — this is the
-/// hook the sweep checkpointer uses to persist every finished point as it
-/// lands — but it receives only a shared reference, so it cannot perturb
-/// the returned vector, which stays bit-identical for any worker count.
+/// `on_result` sees results before input-order reassembly — progress
+/// reporting uses it to count finished items as they land — but it
+/// receives only a shared reference, so it cannot perturb the returned
+/// vector, which stays bit-identical for any worker count.
 ///
 /// Execution is delegated to [`BatchRunner`](crate::batch::BatchRunner)
 /// with static round-robin sharding; see that type for the full
@@ -395,10 +393,9 @@ impl SweepGrid {
             .collect()
     }
 
-    /// Progress callback shared by [`run`](SweepGrid::run) and
-    /// [`run_with_checkpoint`](SweepGrid::run_with_checkpoint). Progress
-    /// is observed from the collector thread (wall-clock ETA, completion
-    /// order); it cannot feed back into the results.
+    /// Progress callback of [`run`](SweepGrid::run). Progress is observed
+    /// from the collector thread (wall-clock ETA, completion order); it
+    /// cannot feed back into the results.
     fn notify(&self, started: std::time::Instant, done: usize, total: usize) {
         if self.observers.is_empty() {
             return;
@@ -661,122 +658,6 @@ impl SweepGrid {
             points: results,
         }
     }
-
-    /// [`run`](SweepGrid::run) with crash recovery: every finished point is
-    /// appended to `path` as it lands, and a later call with the same grid
-    /// resumes from the points already on disk instead of recomputing them.
-    ///
-    /// The file is one JSON header line (master seed, replication budget,
-    /// point count — a stale or mismatching checkpoint is discarded, never
-    /// merged) followed by one JSON line per completed
-    /// [`SweepPointResult`], and is **deleted on success**. Because each
-    /// point's result is a pure function of `(master_seed, point_index)`,
-    /// a resumed sweep is bit-identical to an uninterrupted one — which is
-    /// also why this path evaluates at point granularity: the pointwise
-    /// merge is pinned byte-identical to `run`'s fan-out merge.
-    pub fn run_with_checkpoint(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<SweepResults> {
-        use std::io::Write;
-
-        let path = path.as_ref();
-        let points = self.grid_points();
-        let header = CheckpointHeader {
-            master_seed: self.master_seed,
-            replications: self.replications,
-            num_points: points.len() as u64,
-        };
-
-        // Load whatever a previous interrupted run left behind, if it was
-        // running the same grid. A torn final line (the crash happened
-        // mid-write) parses as garbage and is simply dropped.
-        let mut done: std::collections::BTreeMap<usize, SweepPointResult> =
-            std::collections::BTreeMap::new();
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let mut lines = text.lines();
-            let compatible = lines
-                .next()
-                .and_then(|l| serde_json::from_str::<CheckpointHeader>(l).ok())
-                .is_some_and(|h| h == header);
-            if compatible {
-                for line in lines {
-                    if let Ok(p) = serde_json::from_str::<SweepPointResult>(line) {
-                        done.insert(p.point_index(), p);
-                    }
-                }
-            }
-        }
-
-        // Rewrite the file from the known-good state: header plus every
-        // recovered point. This truncates stale headers and torn tails.
-        let mut file = std::fs::File::create(path)?;
-        writeln!(
-            file,
-            "{}",
-            serde_json::to_string(&header).expect("header serializes")
-        )?;
-        for p in done.values() {
-            writeln!(
-                file,
-                "{}",
-                serde_json::to_string(p).expect("point serializes")
-            )?;
-        }
-        file.flush()?;
-
-        let todo: Vec<(usize, &str, &Simulation, usize)> = points
-            .iter()
-            .copied()
-            .filter(|(idx, ..)| !done.contains_key(idx))
-            .collect();
-        let started = std::time::Instant::now();
-        let timed_cell = self.timed_cell_fn();
-        let total = points.len();
-        let preloaded = done.len();
-        let mut io_error: Option<std::io::Error> = None;
-        let mut completed = 0usize;
-        let fresh = parallel_map_observed(
-            self.workers,
-            todo,
-            |_, (idx, label, template, n)| self.run_point(&timed_cell, idx, label, template, n),
-            |_, point: &SweepPointResult| {
-                if io_error.is_none() {
-                    let line = serde_json::to_string(point).expect("point serializes");
-                    if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
-                        io_error = Some(e);
-                    }
-                }
-                completed += 1;
-                self.notify(started, preloaded + completed, total);
-            },
-        );
-        if let Some(e) = io_error {
-            return Err(e);
-        }
-        drop(file);
-
-        for p in fresh {
-            done.insert(p.point_index(), p);
-        }
-        let results = SweepResults {
-            master_seed: self.master_seed,
-            replications: self.replications,
-            points: done.into_values().collect(),
-        };
-        debug_assert_eq!(results.points.len(), total);
-        std::fs::remove_file(path)?;
-        Ok(results)
-    }
-}
-
-/// First line of a checkpoint file: identifies the grid so a resume never
-/// splices points from a different sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CheckpointHeader {
-    master_seed: u64,
-    replications: u64,
-    num_points: u64,
 }
 
 /// Run one (point, replication) cell with its derived seed.
@@ -1395,98 +1276,5 @@ mod tests {
             thr == 0.0 || thr.is_nan(),
             "cancelled point simulated airtime: {thr}"
         );
-    }
-
-    fn temp_ckpt(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("plc_sweep_{}_{}.ckpt", name, std::process::id()))
-    }
-
-    #[test]
-    fn checkpointed_run_matches_plain_run_and_cleans_up() {
-        let grid = SweepGrid::new(23)
-            .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
-            .stations([2, 3])
-            .replications(2)
-            .workers(2);
-        let plain = grid.run();
-        let path = temp_ckpt("full");
-        let _ = std::fs::remove_file(&path);
-        let ckpt = grid.run_with_checkpoint(&path).expect("checkpointed run");
-        assert_eq!(plain, ckpt);
-        assert_eq!(plain.to_json(), ckpt.to_json());
-        assert!(!path.exists(), "checkpoint must be deleted on success");
-    }
-
-    #[test]
-    fn checkpoint_resume_skips_completed_points_and_matches() {
-        let grid = SweepGrid::new(29)
-            .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
-            .stations([2, 3])
-            .replications(2)
-            .workers(1);
-        let plain = grid.run();
-        let path = temp_ckpt("resume");
-        // Simulate an interrupted run: header plus the first point only.
-        let header = serde_json::to_string(&CheckpointHeader {
-            master_seed: 29,
-            replications: 2,
-            num_points: 2,
-        })
-        .unwrap();
-        let first = serde_json::to_string(&plain.points[0]).unwrap();
-        std::fs::write(&path, format!("{header}\n{first}\n")).unwrap();
-        let registry = plc_obs::Registry::new();
-        let resumed = grid
-            .clone()
-            .registry(&registry)
-            .run_with_checkpoint(&path)
-            .expect("resumed run");
-        assert_eq!(resumed, plain, "resume must be bit-identical");
-        assert!(!path.exists());
-        // Only the missing point's cells ran: 1 point × 2 replications.
-        assert_eq!(registry.snapshot().counter("sweep.cells"), Some(2));
-    }
-
-    #[test]
-    fn stale_or_torn_checkpoint_is_discarded() {
-        let grid = SweepGrid::new(31)
-            .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
-            .stations([2])
-            .replications(2)
-            .workers(1);
-        let plain = grid.run();
-        let path = temp_ckpt("stale");
-        // A checkpoint from a different sweep (wrong master seed) with a
-        // torn final line: both must be ignored, all cells recomputed.
-        let stale_header = serde_json::to_string(&CheckpointHeader {
-            master_seed: 9999,
-            replications: 2,
-            num_points: 1,
-        })
-        .unwrap();
-        std::fs::write(&path, format!("{stale_header}\n{{\"point_in")).unwrap();
-        let registry = plc_obs::Registry::new();
-        let results = grid
-            .clone()
-            .registry(&registry)
-            .run_with_checkpoint(&path)
-            .expect("run over stale checkpoint");
-        assert_eq!(results, plain);
-        assert!(!path.exists());
-        assert_eq!(registry.snapshot().counter("sweep.cells"), Some(2));
-    }
-
-    #[test]
-    fn failed_points_are_checkpointed_not_retried() {
-        let grid = SweepGrid::new(37)
-            .config("bad", broken_sim())
-            .stations([2])
-            .replications(1)
-            .workers(1);
-        let path = temp_ckpt("failed");
-        let _ = std::fs::remove_file(&path);
-        let first = grid.run_with_checkpoint(&path).expect("first run");
-        assert_eq!(first.failures().count(), 1);
-        assert!(!path.exists(), "a fully-accounted sweep still cleans up");
     }
 }

@@ -1,13 +1,14 @@
 //! Zero-allocation pins for the engine hot loops and the mean-field
 //! delay walk.
 //!
-//! The SoA contention core, the batched RNG draw buffer and the reused
-//! scratch vectors exist so that steady-state stepping never touches
-//! the heap. This test pins that property with a counting global
-//! allocator: running the same scenario for horizon `H` and `2·H` must
-//! perform the **same number of allocations** — everything the engine
-//! allocates happens at build time or during the first steps (warmup
-//! growth of reusable buffers), never per step thereafter.
+//! The SoA contention core (its rings and clocks, or its batched RNG
+//! draw buffer) and the reused scratch vectors exist so that
+//! steady-state stepping never touches the heap. This test pins that
+//! property with a counting global allocator: running the same scenario
+//! for horizon `H` and `2·H` must perform the **same number of
+//! allocations** — everything the engine allocates happens at build
+//! time or during the first steps (warmup growth of reusable buffers),
+//! never per step thereafter.
 //!
 //! The counter is thread-local, so tests running concurrently in other
 //! threads cannot perturb a measurement.
@@ -58,15 +59,21 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Build + run the given scenario and return its allocation count.
-/// Successes are asserted so a silently-idle run can't pass vacuously.
-fn engine_allocs(horizon_us: f64, fast_forward: bool, soa: bool) -> u64 {
-    let sim = Simulation::ieee1901(10)
+/// Successes are asserted so a silently-idle run can't pass vacuously;
+/// a saturated N = 500 cell collides on (nearly) every busy slot, so
+/// there collisions are asserted instead.
+fn engine_allocs(n: usize, horizon_us: f64, fast_forward: bool, soa: bool) -> u64 {
+    let sim = Simulation::ieee1901(n)
         .horizon_us(horizon_us)
         .seed(42)
         .fast_forward(fast_forward)
         .soa(soa);
     let (report, count) = allocs_during(|| sim.run());
-    assert!(report.successes > 0);
+    if n >= 500 {
+        assert!(report.metrics.collision_events > 0);
+    } else {
+        assert!(report.successes > 0);
+    }
     count
 }
 
@@ -75,8 +82,8 @@ fn saturated_run_does_not_allocate_per_step() {
     // Doubling the horizon doubles the steps; if the steady-state loop
     // allocated even once per step, the counts would differ by
     // thousands. Build-time and warmup allocations are identical.
-    let short = engine_allocs(1e6, true, true);
-    let long = engine_allocs(2e6, true, true);
+    let short = engine_allocs(10, 1e6, true, true);
+    let long = engine_allocs(10, 2e6, true, true);
     assert_eq!(
         short, long,
         "hot loop allocated ({long} allocs at 2x horizon vs {short})"
@@ -85,15 +92,30 @@ fn saturated_run_does_not_allocate_per_step() {
 
 #[test]
 fn per_slot_path_does_not_allocate_per_step() {
-    let short = engine_allocs(1e6, false, true);
-    let long = engine_allocs(2e6, false, true);
+    let short = engine_allocs(10, 1e6, false, true);
+    let long = engine_allocs(10, 2e6, false, true);
     assert_eq!(short, long, "per-slot path allocated per step");
 }
 
 #[test]
+fn event_layout_at_benchmark_size_does_not_allocate_per_step() {
+    // The saturated N = 500 shape of the benchmark: the event-indexed
+    // core's rings and clocks are allocated once per engine, with the
+    // fast-forward on and off.
+    for fast_forward in [true, false] {
+        let short = engine_allocs(500, 1e6, fast_forward, true);
+        let long = engine_allocs(500, 2e6, fast_forward, true);
+        assert_eq!(
+            short, long,
+            "N = 500 (fast-forward {fast_forward}) allocated per step"
+        );
+    }
+}
+
+#[test]
 fn object_reference_path_does_not_allocate_per_step() {
-    let short = engine_allocs(1e6, true, false);
-    let long = engine_allocs(2e6, true, false);
+    let short = engine_allocs(10, 1e6, true, false);
+    let long = engine_allocs(10, 2e6, true, false);
     assert_eq!(short, long, "per-object path allocated per step");
 }
 
