@@ -305,8 +305,9 @@ pub fn collect(scale: f64) -> Result<BenchSnapshot> {
     // every default-portfolio operating point. This is the cost of
     // "admission" into the expensive slotted rungs, so a regression
     // here multiplies directly into boosting-run latency. Unit of work
-    // is fixed-point screens (`boost.evals`); `scale` shrinks the
-    // round count, not the per-screen cost.
+    // is distinct fixed-point solves (`boost.evals`, 220 per round),
+    // run on the machine's default worker pool; `scale` shrinks the
+    // round count, not the per-solve cost.
     workloads.push(time_workload(
         "boost_rung_screen",
         &registry,

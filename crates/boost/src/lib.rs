@@ -15,12 +15,13 @@
 //!   one cherry-picked operating point;
 //! * [`BoostRun`] — successive halving: an analytic **screen** (the
 //!   `Backend::MeanField` fixed point + delay DTMC via
-//!   [`plc_analysis::screen_schedule`]) prunes the space at ≈0.46 ms
-//!   per (candidate, n) (≈0.13 s for the default space and portfolio,
-//!   `perfbench --trace 1` on a 2-vCPU Intel Xeon host), then slotted
-//!   **confirm rungs** with 4×-growing horizons run the survivors
-//!   through crash-tolerant [`plc_jobs::JobGroup`]s and halve the
-//!   field by aggregate score after each rung;
+//!   [`plc_analysis::screen_schedule`]) prunes the space, solving each
+//!   distinct (candidate, contention-domain size) once on the run's
+//!   worker pool (≈0.06 s for the default space and portfolio on two
+//!   workers, `perfbench --trace 1` on a 2-vCPU Intel Xeon host), then
+//!   slotted **confirm rungs** with 4×-growing horizons run the
+//!   survivors through crash-tolerant [`plc_jobs::JobGroup`]s and halve
+//!   the field by aggregate score after each rung;
 //! * the verdict is a **Pareto front** over (throughput ↑, Jain
 //!   fairness ↑, p99 access delay ↓) plus a [`Recommendation`] — the
 //!   front member beating the baseline on the most objectives — written

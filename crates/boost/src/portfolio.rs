@@ -50,8 +50,8 @@ pub struct PortfolioScenario {
 
 impl PortfolioScenario {
     /// The simulation template confirm rungs sweep for `config` — the
-    /// grid substitutes each station count via `num_stations`, which
-    /// preserves the cell layout for [`ScenarioKind::Cells`].
+    /// sweep grid sets each station count on it, rebuilding the cell
+    /// layout for [`ScenarioKind::Cells`].
     pub fn template(&self, config: &CsmaConfig, horizon_us: f64) -> Simulation {
         let sim = Simulation::ieee1901(1)
             .config(config.clone())
@@ -170,6 +170,7 @@ impl Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plc_sim::sweep::SweepGrid;
 
     #[test]
     fn portfolios_are_pinned() {
@@ -184,7 +185,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // num_stations: the sweep grid does this swap internally
     fn cells_screen_per_cell_and_templates_build() {
         let p = Portfolio::default_portfolio();
         let cells = &p.scenarios[2];
@@ -192,13 +192,19 @@ mod tests {
         assert_eq!(p.scenarios[0].screen_n(30), 30);
         let cfg = CsmaConfig::ieee1901_ca01();
         for s in &p.scenarios {
-            // A template must actually run after num_stations swaps.
-            let report = s
-                .template(&cfg, 5.0e4)
-                .num_stations(s.stations[0])
-                .try_run()
+            // A template must actually run once the sweep grid has set
+            // its station count, as in a confirm rung.
+            let n = s.stations[0];
+            let results = SweepGrid::new(1)
+                .config(s.name.clone(), s.template(&cfg, 5.0e4))
+                .stations([n])
+                .workers(1)
+                .run();
+            let summary = results
+                .point(&s.name, n)
+                .and_then(|point| point.summary())
                 .expect("portfolio template runs");
-            assert!(report.norm_throughput >= 0.0);
+            assert!(summary.norm_throughput.mean > 0.0, "{}", s.name);
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   is the same file for `--workers 1` and `--workers 8`;
 //! * **exact resume** — kill the process at any instant and
 //!   [`BoostRun::resume`] replays: settled sweep points reassemble from
-//!   their journals, the analytic screen re-solves (≈0.13 s for the
-//!   default space and portfolio), and the pruning decisions recompute
-//!   to the same survivors.
+//!   their journals, the analytic screen re-solves (≈0.06 s for the
+//!   default space and portfolio on two workers), and the pruning
+//!   decisions recompute to the same survivors.
 //!
 //! ## Rung structure
 //!
@@ -34,13 +34,13 @@
 //!   beating the baseline on the most objectives.
 
 use crate::portfolio::Portfolio;
-use crate::screen::{rank, screen_space, ScreenScore};
+use crate::screen::{rank, screen_space_on, ScreenScore};
 use crate::space::{ScheduleCandidate, SearchSpace, BASELINE_LABEL};
 use plc_core::error::{Error, Result};
 use plc_core::fs::atomic_write;
 use plc_core::timing::MacTiming;
 use plc_jobs::{group_status, GroupMember, GroupReport, JobGroup, GROUP_FILE_NAME};
-use plc_sim::sweep::{derive_seed, SweepGrid};
+use plc_sim::sweep::{default_workers, derive_seed, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -72,8 +72,9 @@ pub struct BoostConfig {
     pub base_horizon_us: f64,
     /// Replications per sweep point in confirm rungs.
     pub replications: u64,
-    /// Worker threads for sweep execution; `None` = machine default.
-    /// Results are byte-identical for any choice.
+    /// Worker threads for the analytic screen and sweep execution;
+    /// `None` = machine default. Results are byte-identical for any
+    /// choice.
     pub workers: Option<usize>,
     /// Chaos hook forwarded to every member job (kill-window injection
     /// for crash tests); never part of the manifest.
@@ -319,7 +320,8 @@ impl BoostRun {
     /// Execute (the rest of) the search and write the artifact.
     pub fn run(self) -> Result<BoostReport> {
         let timing = MacTiming::paper_default();
-        let scores = screen_space(
+        let scores = screen_space_on(
+            self.cfg.workers.unwrap_or_else(default_workers),
             &self.space,
             &self.portfolio,
             &timing,

@@ -169,21 +169,6 @@ impl Simulation {
         self
     }
 
-    /// Override the station count.
-    ///
-    /// Deprecated: the station count now lives in the [`Topology`];
-    /// construct with [`ieee1901(n)`](Simulation::ieee1901) /
-    /// [`dcf(n)`](Simulation::dcf) for the fully-connected case or set a
-    /// [`topology`](Simulation::topology) explicitly. Sweeps restamp the
-    /// count internally.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the station count via ieee1901(n)/dcf(n) or Simulation::topology(...)"
-    )]
-    pub fn num_stations(self, n: usize) -> Self {
-        self.set_num_stations(n)
-    }
-
     /// Restamp the station count onto this template (sweep internals).
     /// Resets the topology to fully-connected — a sweep over `n` has no
     /// way to scale an *explicit* spatial layout — unless

@@ -86,11 +86,13 @@ pub fn default_workers() -> usize {
 /// Evaluate `f(index, item)` for every item on a fixed-size worker pool
 /// and return the results **in input order**.
 ///
-/// Work is distributed through a shared queue; finished results flow back
-/// over a channel and are reassembled by index, so the output is a pure
-/// function of the inputs — bit-identical for 1 worker or 64, whatever the
-/// OS scheduler does. `f` must itself be deterministic in `(index, item)`
-/// for that guarantee to carry through.
+/// Work is sharded statically by [`BatchRunner`](crate::batch::BatchRunner):
+/// item `i` runs on worker `i % workers`, with no work stealing, so callers
+/// balance the load through the order of `items`. Finished results flow
+/// back over a channel and are reassembled by index, so the output is a
+/// pure function of the inputs — bit-identical for 1 worker or 64,
+/// whatever the OS scheduler does. `f` must itself be deterministic in
+/// `(index, item)` for that guarantee to carry through.
 ///
 /// ```
 /// let squares = plc_sim::sweep::parallel_map(4, (0u64..100).collect(), |_, x| x * x);
