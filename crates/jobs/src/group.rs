@@ -5,19 +5,32 @@
 //! subdirectory (`<dir>/<member-name>/` — manifest, journal, results,
 //! quarantine, all the usual crash-tolerance machinery), and the parent
 //! directory holds a `group.json` manifest recording the member names
-//! in order. Members execute sequentially; killing the process at any
-//! instant leaves a prefix of completed members plus at most one
-//! partially journaled member, and re-running the same group resumes
-//! exactly — completed members reassemble from their journals without
-//! re-executing a single point, the partial member finishes its
-//! remainder, and the rest run fresh.
+//! in order.
+//!
+//! [`JobGroup::run`] first creates or resumes every member job, so each
+//! manifest is durable before any point runs. It then settles the
+//! unsettled points of all members in one static round-robin pass over
+//! the (member, point) list, in member order: members do not run one
+//! after another, and no member waits at a barrier for the others. The
+//! collector appends each point to its own member's journal and
+//! completes a member — `results.json`, `metrics.json`, sinks — as soon
+//! as that member's last point lands, while the workers carry on with
+//! the rest. A member's `metrics.json` is therefore a snapshot of the
+//! shared registry taken at its completion, and can include in-flight
+//! points of other members.
+//!
+//! Killing the process at any instant leaves every started member with
+//! its manifest, and any of them may be partially journaled.
+//! Re-running the same group resumes exactly: completed members
+//! reassemble from their journals without re-executing a single point,
+//! and every other member finishes its remainder.
 //!
 //! This is the composition layer the `plc-boost` optimizer runs on: one
 //! successive-halving rung = one group with one member grid per
 //! portfolio scenario.
 
-use crate::job::{Job, JobConfig, JobReport, JobStatus, MANIFEST_FILE_NAME};
-use plc_core::{Error, Result};
+use crate::job::{run_jobs, Job, JobConfig, JobReport, JobStatus, MANIFEST_FILE_NAME};
+use plc_core::{CancelToken, Error, Result};
 use plc_sim::sweep::{SweepGrid, SweepResults};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -26,14 +39,14 @@ use std::path::{Path, PathBuf};
 pub const GROUP_FILE_NAME: &str = "group.json";
 
 /// The on-disk identity of a job group: which members it is composed
-/// of, in execution order. Per-member determinism is fingerprinted by
-/// each member job's own manifest; the group manifest pins only the
+/// of, in order. Per-member determinism is fingerprinted by each
+/// member job's own manifest; the group manifest pins only the
 /// composition so a resume with a different member set is refused.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupManifest {
     /// [`crate::FORMAT_VERSION`] at creation time.
     pub format_version: u32,
-    /// Member names, in execution order (also the subdirectory names).
+    /// Member names, in order (also the subdirectory names).
     pub members: Vec<String>,
 }
 
@@ -68,10 +81,10 @@ impl GroupMember {
 }
 
 /// What one [`JobGroup::run`] did: every member's [`JobReport`] in
-/// execution order, with its name.
+/// member order, with its name.
 #[derive(Debug)]
 pub struct GroupReport {
-    /// Per-member reports, in execution order.
+    /// Per-member reports, in member order.
     pub members: Vec<(String, JobReport)>,
 }
 
@@ -132,10 +145,12 @@ impl JobGroup {
         self
     }
 
-    /// Execute every member in order, creating or resuming each
-    /// member's [`Job`]. The group manifest is written on first run and
-    /// validated on every rerun: a directory composed of different
-    /// members is refused rather than partially reused.
+    /// Create or resume every member's [`Job`], then settle all their
+    /// unsettled points in one pass (see the [module docs](self)), on
+    /// the largest worker count any member's grid asks for. The group
+    /// manifest is written on first run and validated on every rerun: a
+    /// directory composed of different members is refused rather than
+    /// partially reused. A member's I/O error fails the run.
     pub fn run(self) -> Result<GroupReport> {
         std::fs::create_dir_all(&self.dir)?;
         let manifest = GroupManifest {
@@ -165,10 +180,11 @@ impl JobGroup {
             Err(e) => return Err(e.into()),
         }
 
-        let mut reports = Vec::with_capacity(self.members.len());
+        // Every member's manifest is durable before any point runs.
+        let mut names = Vec::with_capacity(self.members.len());
+        let mut jobs = Vec::with_capacity(self.members.len());
         for member in self.members {
-            let sub = self.dir.join(&member.name);
-            let mut cfg = JobConfig::new(&sub);
+            let mut cfg = JobConfig::new(self.dir.join(&member.name));
             cfg.retries = member.retries;
             cfg.timeout = member.timeout;
             cfg.stall = member.stall;
@@ -177,9 +193,13 @@ impl JobGroup {
             if let Some(r) = &self.registry {
                 job = job.registry(r);
             }
-            reports.push((member.name, job.run()?));
+            names.push(member.name);
+            jobs.push(job);
         }
-        Ok(GroupReport { members: reports })
+        let reports = run_jobs(jobs, &CancelToken::new())?;
+        Ok(GroupReport {
+            members: names.into_iter().zip(reports).collect(),
+        })
     }
 }
 
@@ -223,6 +243,165 @@ mod tests {
             .config("ca1", Simulation::ieee1901(1).horizon_us(2.0e5))
             .stations([2, 3])
             .replications(1)
+    }
+
+    /// Six points: a saturated and a Poisson config over three sizes.
+    fn wide_grid(seed: u64, workers: usize) -> SweepGrid {
+        let poisson = plc_sim::TrafficModel::Poisson {
+            rate_per_us: 2e-4,
+            queue_cap: 4,
+        };
+        SweepGrid::new(seed)
+            .config("ca1", Simulation::ieee1901(1).horizon_us(2.0e5))
+            .config(
+                "poisson",
+                Simulation::ieee1901(1).horizon_us(2.0e5).traffic(poisson),
+            )
+            .stations([2, 3, 5])
+            .replications(1)
+            .workers(workers)
+    }
+
+    const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
+
+    fn wide_members(workers: usize) -> Vec<GroupMember> {
+        NAMES
+            .iter()
+            .zip(1u64..)
+            .map(|(name, seed)| GroupMember::new(*name, wide_grid(seed, workers)))
+            .collect()
+    }
+
+    fn results_on_disk(dir: &Path, name: &str) -> String {
+        std::fs::read_to_string(dir.join(name).join(crate::RESULTS_FILE_NAME)).unwrap()
+    }
+
+    #[test]
+    fn member_results_equal_the_plain_sweep_at_any_worker_count() {
+        // The pass shards the concatenated (member, point) list, so an
+        // odd worker count splits members differently from 1 and 2.
+        for workers in 1..=3 {
+            let dir = temp_dir(&format!("workers{workers}"));
+            let report = JobGroup::new(&dir, wide_members(workers))
+                .unwrap()
+                .run()
+                .unwrap();
+            assert!(report.is_complete());
+            for (i, name) in NAMES.iter().enumerate() {
+                let plain = wide_grid(i as u64 + 1, workers).run().to_json();
+                assert_eq!(
+                    results_on_disk(&dir, name),
+                    format!("{plain}\n"),
+                    "{name} at {workers} workers"
+                );
+                assert_eq!(report.members[i].1.executed, 6);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn rerun_after_a_kill_executes_exactly_the_missing_points() {
+        let dir = temp_dir("kill_state");
+        JobGroup::new(&dir, wide_members(2)).unwrap().run().unwrap();
+        let finished: Vec<String> = NAMES.iter().map(|n| results_on_disk(&dir, n)).collect();
+
+        // The state a kill mid-pass leaves: every member has its
+        // manifest, any of them may be partially journaled (beta with a
+        // torn last line), and none has completed.
+        let journaled = [2usize, 4, 0];
+        for (name, &keep) in NAMES.iter().zip(&journaled) {
+            let sub = dir.join(name);
+            assert!(sub.join(MANIFEST_FILE_NAME).exists());
+            std::fs::remove_file(sub.join(crate::RESULTS_FILE_NAME)).unwrap();
+            let journal = sub.join(crate::Journal::FILE_NAME);
+            let lines: Vec<String> = std::fs::read_to_string(&journal)
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect();
+            if keep == 0 {
+                std::fs::remove_file(&journal).unwrap();
+                continue;
+            }
+            let mut text: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+            if *name == "beta" {
+                text.push_str(&lines[keep][..lines[keep].len() / 2]);
+            }
+            std::fs::write(&journal, text).unwrap();
+        }
+
+        let report = JobGroup::new(&dir, wide_members(3)).unwrap().run().unwrap();
+        for (i, (name, member)) in report.members.iter().enumerate() {
+            assert_eq!(member.resumed, journaled[i], "{name}");
+            assert_eq!(member.executed, 6 - journaled[i], "{name}");
+            assert_eq!(results_on_disk(&dir, name), finished[i], "{name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_journal_append_error_in_one_member_fails_the_group() {
+        let dir = temp_dir("append_error");
+        // Every write to /dev/full fails (ENOSPC), even as root.
+        std::fs::create_dir_all(dir.join("beta")).unwrap();
+        std::os::unix::fs::symlink(
+            "/dev/full",
+            dir.join("beta").join(crate::Journal::FILE_NAME),
+        )
+        .unwrap();
+        let err = JobGroup::new(&dir, wide_members(2))
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert!(err.to_string().contains("I/O error"), "{err}");
+        assert!(!dir.join("beta").join(crate::RESULTS_FILE_NAME).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_counters_tick_for_retries_quarantines_and_resumes() {
+        let dir = temp_dir("counters");
+        let members = || {
+            // One point that cannot finish inside its watchdog deadline.
+            let stuck_grid = SweepGrid::new(5)
+                .config("stuck", Simulation::ieee1901(1).horizon_us(5e10))
+                .stations([20])
+                .replications(1)
+                .workers(1);
+            let mut stuck = GroupMember::new("stuck", stuck_grid);
+            stuck.timeout = Some(std::time::Duration::from_millis(40));
+            stuck.retries = 1;
+            vec![stuck, GroupMember::new("alpha", grid(1))]
+        };
+        let registry = plc_obs::Registry::new();
+        let report = JobGroup::new(&dir, members())
+            .unwrap()
+            .registry(&registry)
+            .run()
+            .unwrap();
+        assert!(report.is_complete());
+        assert_eq!(report.members[0].1.quarantined.len(), 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("job.points_done"), Some(3));
+        assert_eq!(snap.counter("job.points_retried"), Some(1));
+        assert_eq!(snap.counter("job.points_quarantined"), Some(1));
+        assert_eq!(snap.counter("job.points_resumed"), Some(0));
+        for name in ["stuck", "alpha"] {
+            assert!(dir.join(name).join(crate::METRICS_FILE_NAME).exists());
+        }
+
+        let registry = plc_obs::Registry::new();
+        JobGroup::new(&dir, members())
+            .unwrap()
+            .registry(&registry)
+            .run()
+            .unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("job.points_resumed"), Some(3));
+        assert_eq!(snap.counter("job.points_done"), Some(0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

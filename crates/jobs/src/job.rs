@@ -48,7 +48,8 @@ pub struct JobConfig {
     /// times before it is quarantined. Default 0.
     pub retries: u32,
     /// Per-point watchdog deadline; `None` (default) arms no watchdog
-    /// and costs nothing.
+    /// and installs no cancel token, so points run the engine's plain
+    /// loop and cost nothing extra.
     pub timeout: Option<Duration>,
     /// Name under which a front end can rebuild the grid on resume.
     pub grid_name: Option<String>,
@@ -266,130 +267,209 @@ impl Job {
     /// assembled [`SweepResults`] is written atomically to
     /// `results.json` and every sink's
     /// [`on_complete`](ResultSink::on_complete) fires.
-    pub fn run(mut self) -> Result<JobReport> {
-        let counters = self.registry.as_ref().map(|r| {
-            (
-                r.try_counter("job.points_done").ok(),
-                r.try_counter("job.points_retried").ok(),
-                r.try_counter("job.points_quarantined").ok(),
-                r.try_counter("job.points_resumed").ok(),
-                r.try_timer("job.checkpoint_flush").ok(),
-            )
-        });
-        let (done_ctr, retried_ctr, quarantined_ctr, resumed_ctr, flush_timer) =
-            counters.unwrap_or((None, None, None, None, None));
-        if let Some(c) = &resumed_ctr {
-            c.add(self.resumed as u64);
+    ///
+    /// This is the one-job case of the pass a
+    /// [`JobGroup`](crate::JobGroup) runs over all its members.
+    pub fn run(self) -> Result<JobReport> {
+        let cancel = self.cancel.clone();
+        let mut reports = run_jobs(vec![self], &cancel)?;
+        Ok(reports.pop().expect("one job, one report"))
+    }
+}
+
+/// The `job.*` instruments of one job's registry.
+struct Counters {
+    done: Option<plc_obs::Counter>,
+    retried: Option<plc_obs::Counter>,
+    quarantined: Option<plc_obs::Counter>,
+    flush: Option<plc_obs::SpanTimer>,
+}
+
+/// What the collector thread owns of one job during a pass: everything
+/// the pass writes, apart from the grid and policy the workers read.
+struct Ledger {
+    journal: Journal,
+    settled: BTreeMap<usize, JournalEntry>,
+    sinks: Vec<Box<dyn ResultSink>>,
+    registry: Option<plc_obs::Registry>,
+    counters: Counters,
+    resumed: usize,
+    executed: usize,
+    retried: u64,
+    quarantined: Vec<QuarantineRecord>,
+    results: Option<SweepResults>,
+    /// The first I/O error; the job journals nothing after it and is
+    /// never completed by this pass.
+    error: Option<std::io::Error>,
+}
+
+impl Ledger {
+    /// Record one settled point: journal it, count it, quarantine it if
+    /// it settled badly, then show it to the sinks.
+    fn settle(&mut self, grid: &SweepGrid, cfg: &JobConfig, entry: &JournalEntry) {
+        {
+            let _span = self.counters.flush.as_ref().map(|t| t.start());
+            if self.error.is_none() {
+                if let Err(e) = self.journal.append(entry) {
+                    self.error = Some(e);
+                }
+            }
         }
+        self.executed += 1;
+        self.retried += u64::from(entry.job_attempts - 1);
+        if let Some(c) = &self.counters.done {
+            c.inc();
+        }
+        if let Some(c) = &self.counters.retried {
+            c.add(u64::from(entry.job_attempts - 1));
+        }
+        if !entry.outcome.is_ok() {
+            let record = quarantine_record(grid, cfg, entry);
+            if self.error.is_none() {
+                if let Err(e) = append_quarantine(&cfg.dir, &record) {
+                    self.error = Some(e);
+                }
+            }
+            if let Some(c) = &self.counters.quarantined {
+                c.inc();
+            }
+            self.quarantined.push(record);
+        }
+        for sink in self.sinks.iter_mut() {
+            sink.on_point(entry);
+        }
+        self.settled.insert(entry.point_index, entry.clone());
+        if let Some(stall) = cfg.stall {
+            if stall.fires_at(self.executed) {
+                std::thread::sleep(Duration::from_millis(stall.stall_ms));
+            }
+        }
+    }
 
-        let todo: Vec<usize> = (0..self.grid.num_points())
-            .filter(|idx| !self.settled.contains_key(idx))
-            .filter(|idx| {
-                self.cfg
-                    .points
-                    .as_ref()
-                    .map(|only| only.contains(idx))
-                    .unwrap_or(true)
-            })
-            .collect();
+    /// Once every grid point is settled (and nothing failed), write
+    /// `results.json` and `metrics.json` and fire the sinks'
+    /// [`on_complete`](ResultSink::on_complete).
+    fn complete_if_settled(&mut self, grid: &SweepGrid, cfg: &JobConfig) {
+        if self.error.is_some() || self.settled.len() != grid.num_points() {
+            return;
+        }
+        let results = SweepResults {
+            master_seed: grid.master_seed(),
+            replications: grid.replication_budget(),
+            points: self
+                .settled
+                .values()
+                .map(|e| e.outcome.to_point_result())
+                .collect(),
+        };
+        let mut doc = results.to_json();
+        doc.push('\n');
+        if let Err(e) = plc_core::fs::atomic_write(cfg.dir.join(RESULTS_FILE_NAME), doc.as_bytes())
+        {
+            self.error = Some(e);
+            return;
+        }
+        for sink in self.sinks.iter_mut() {
+            sink.on_complete(&results);
+        }
+        if let Some(registry) = &self.registry {
+            if let Err(e) = registry.write_json_atomic(cfg.dir.join(METRICS_FILE_NAME)) {
+                self.error = Some(e);
+                return;
+            }
+        }
+        self.results = Some(results);
+    }
+}
 
-        let mut journal = Journal::open_append(&self.cfg.dir)?;
-        let grid = &self.grid;
-        let cfg = &self.cfg;
-        let sinks = &mut self.sinks;
-        let mut io_error: Option<std::io::Error> = None;
-        let mut executed = 0usize;
-        let mut retried = 0u64;
-        let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-        let mut fresh: Vec<JournalEntry> = Vec::new();
+/// Run every unsettled point of `jobs` in one static round-robin
+/// [`BatchRunner`](plc_sim::BatchRunner) pass over the (job, point)
+/// list, in job order, on the largest worker count any job's grid asks
+/// for. `cancel` stops the pass between points.
+///
+/// The collector appends each settled point to its own job's journal,
+/// and completes a job (results, metrics, sinks) as soon as its last
+/// point lands, while the workers carry on with the others. Returns one
+/// report per job, in job order, or the first job's I/O error.
+pub(crate) fn run_jobs(jobs: Vec<Job>, cancel: &CancelToken) -> Result<Vec<JobReport>> {
+    let workers = jobs.iter().map(|j| j.grid.num_workers()).max().unwrap_or(1);
+    let mut plans = Vec::with_capacity(jobs.len());
+    let mut ledgers = Vec::with_capacity(jobs.len());
+    let mut todo: Vec<(usize, usize)> = Vec::new();
+    for (j, job) in jobs.into_iter().enumerate() {
+        let registry = job.registry.as_ref();
+        let counters = Counters {
+            done: registry.and_then(|r| r.try_counter("job.points_done").ok()),
+            retried: registry.and_then(|r| r.try_counter("job.points_retried").ok()),
+            quarantined: registry.and_then(|r| r.try_counter("job.points_quarantined").ok()),
+            flush: registry.and_then(|r| r.try_timer("job.checkpoint_flush").ok()),
+        };
+        if let Some(c) = registry.and_then(|r| r.try_counter("job.points_resumed").ok()) {
+            c.add(job.resumed as u64);
+        }
+        todo.extend(
+            (0..job.grid.num_points())
+                .filter(|idx| !job.settled.contains_key(idx))
+                .filter(|idx| {
+                    job.cfg
+                        .points
+                        .as_ref()
+                        .is_none_or(|only| only.contains(idx))
+                })
+                .map(|idx| (j, idx)),
+        );
+        let mut ledger = Ledger {
+            journal: Journal::open_append(&job.cfg.dir)?,
+            settled: job.settled,
+            sinks: job.sinks,
+            registry: job.registry,
+            counters,
+            resumed: job.resumed,
+            executed: 0,
+            retried: 0,
+            quarantined: Vec::new(),
+            results: None,
+            error: None,
+        };
+        // A job settled entirely by earlier runs completes right away.
+        ledger.complete_if_settled(&job.grid, &job.cfg);
+        plans.push((job.grid, job.cfg));
+        ledgers.push(ledger);
+    }
 
-        let outcomes = plc_sim::BatchRunner::new()
-            .workers(grid.num_workers())
-            .run_cancellable(
-                &self.cancel,
-                todo,
-                |_, idx, _shard_registry| settle_point(grid, cfg, idx),
-                |_, entry: &JournalEntry| {
-                    {
-                        let _span = flush_timer.as_ref().map(|t| t.start());
-                        if io_error.is_none() {
-                            if let Err(e) = journal.append(entry) {
-                                io_error = Some(e);
-                            }
-                        }
-                    }
-                    executed += 1;
-                    retried += u64::from(entry.job_attempts - 1);
-                    if let Some(c) = &done_ctr {
-                        c.inc();
-                    }
-                    if let Some(c) = &retried_ctr {
-                        c.add(u64::from(entry.job_attempts - 1));
-                    }
-                    if !entry.outcome.is_ok() {
-                        let record = quarantine_record(grid, cfg, entry);
-                        if io_error.is_none() {
-                            if let Err(e) = append_quarantine(&cfg.dir, &record) {
-                                io_error = Some(e);
-                            }
-                        }
-                        if let Some(c) = &quarantined_ctr {
-                            c.inc();
-                        }
-                        quarantined.push(record);
-                    }
-                    for sink in sinks.iter_mut() {
-                        sink.on_point(entry);
-                    }
-                    fresh.push(entry.clone());
-                    if let Some(stall) = cfg.stall {
-                        if stall.fires_at(executed) {
-                            std::thread::sleep(Duration::from_millis(stall.stall_ms));
-                        }
-                    }
-                },
-            );
-        drop(outcomes);
-        drop(journal);
-        if let Some(e) = io_error {
+    let plans = &plans;
+    let outcomes = plc_sim::BatchRunner::new()
+        .workers(workers)
+        .run_cancellable(
+            cancel,
+            todo,
+            |_, (j, idx), _shard_registry| {
+                let (grid, cfg) = &plans[j];
+                (j, settle_point(grid, cfg, idx))
+            },
+            |_, (j, entry): &(usize, JournalEntry)| {
+                let (grid, cfg) = &plans[*j];
+                let ledger = &mut ledgers[*j];
+                ledger.settle(grid, cfg, entry);
+                ledger.complete_if_settled(grid, cfg);
+            },
+        );
+    drop(outcomes);
+
+    let mut reports = Vec::with_capacity(ledgers.len());
+    for ledger in ledgers {
+        if let Some(e) = ledger.error {
             return Err(e.into());
         }
-        for entry in fresh {
-            self.settled.insert(entry.point_index, entry);
-        }
-
-        let results = if self.settled.len() == self.grid.num_points() {
-            let results = SweepResults {
-                master_seed: self.grid.master_seed(),
-                replications: self.grid.replication_budget(),
-                points: self
-                    .settled
-                    .values()
-                    .map(|e| e.outcome.to_point_result())
-                    .collect(),
-            };
-            let mut doc = results.to_json();
-            doc.push('\n');
-            plc_core::fs::atomic_write(self.cfg.dir.join(RESULTS_FILE_NAME), doc.as_bytes())?;
-            for sink in self.sinks.iter_mut() {
-                sink.on_complete(&results);
-            }
-            if let Some(registry) = &self.registry {
-                registry.write_json_atomic(self.cfg.dir.join(METRICS_FILE_NAME))?;
-            }
-            Some(results)
-        } else {
-            None
-        };
-
-        Ok(JobReport {
-            results,
-            executed,
-            resumed: self.resumed,
-            retried,
-            quarantined,
-        })
+        reports.push(JobReport {
+            results: ledger.results,
+            executed: ledger.executed,
+            resumed: ledger.resumed,
+            retried: ledger.retried,
+            quarantined: ledger.quarantined,
+        });
     }
+    Ok(reports)
 }
 
 /// Settle one point on a worker thread: run it under an optional
@@ -397,30 +477,34 @@ impl Job {
 /// is exhausted. Replays use the same derived seeds, so a retry that
 /// recovers is byte-identical to a first-try success.
 fn settle_point(grid: &SweepGrid, cfg: &JobConfig, idx: usize) -> JournalEntry {
+    let run = |token: Option<&CancelToken>| {
+        grid.run_point_with(idx, token)
+            .expect("job schedules only in-range points")
+    };
     let mut attempts: u32 = 1;
     loop {
-        let token = CancelToken::new();
-        let watchdog = cfg.timeout.map(|t| Watchdog::arm(t, token.clone()));
-        let result = grid
-            .run_point_with(idx, Some(&token))
-            .expect("job schedules only in-range points");
-        if let Some(dog) = watchdog {
-            dog.disarm();
-        }
-        let outcome = if token.is_cancelled() {
-            // Partial metrics from a cancelled engine are not data.
-            let (config, n) = grid.point_spec(idx).expect("in-range point has a spec");
-            PointOutcome::TimedOut {
-                config: config.to_string(),
-                n,
-                point_index: idx,
-                timeout_ms: cfg
-                    .timeout
-                    .map(|t| t.as_millis() as u64)
-                    .unwrap_or_default(),
+        let outcome = match cfg.timeout {
+            // No deadline, no token: the engine takes its plain run loop
+            // and the point's template is not cloned.
+            None => PointOutcome::Done(run(None)),
+            Some(timeout) => {
+                let token = CancelToken::new();
+                let watchdog = Watchdog::arm(timeout, token.clone());
+                let result = run(Some(&token));
+                watchdog.disarm();
+                if token.is_cancelled() {
+                    // Partial metrics from a cancelled engine are not data.
+                    let (config, n) = grid.point_spec(idx).expect("in-range point has a spec");
+                    PointOutcome::TimedOut {
+                        config: config.to_string(),
+                        n,
+                        point_index: idx,
+                        timeout_ms: timeout.as_millis() as u64,
+                    }
+                } else {
+                    PointOutcome::Done(result)
+                }
             }
-        } else {
-            PointOutcome::Done(result)
         };
         if !outcome.is_ok() && attempts <= cfg.retries {
             attempts += 1;

@@ -12,6 +12,7 @@
 
 use plc_sim::sweep::{EarlyStop, SweepGrid};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Journal/manifest format revision. Bump on any incompatible change to
 /// [`JobManifest`] or the journal line schema; a resume across versions
@@ -46,7 +47,8 @@ pub struct JobManifest {
     /// re-specifying it).
     pub grid_name: Option<String>,
     /// `git describe` of the source tree that created the job —
-    /// best-effort provenance, not fingerprinted.
+    /// best-effort provenance, not fingerprinted. Computed once per
+    /// process: every manifest a process builds carries the same value.
     pub created_by: Option<String>,
 }
 
@@ -54,6 +56,9 @@ impl JobManifest {
     /// Capture `grid` (shape and determinism knobs) plus the job's
     /// execution policy.
     pub fn from_grid(grid: &SweepGrid, timeout_ms: Option<u64>, grid_name: Option<String>) -> Self {
+        // A process's provenance does not change while it runs, and each
+        // `git` spawn costs milliseconds on every create and resume.
+        static CREATED_BY: OnceLock<Option<String>> = OnceLock::new();
         JobManifest {
             format_version: FORMAT_VERSION,
             master_seed: grid.master_seed(),
@@ -65,7 +70,7 @@ impl JobManifest {
             retries: grid.retry_budget(),
             timeout_ms,
             grid_name,
-            created_by: git_describe(),
+            created_by: CREATED_BY.get_or_init(git_describe).clone(),
         }
     }
 

@@ -248,6 +248,15 @@ enum StepKind {
     Collision,
 }
 
+/// Earliest pending traffic event over `stations` (see
+/// [`TrafficState::next_event_us`]).
+fn next_traffic_event<P>(stations: &[StationCtx<P>]) -> f64 {
+    stations
+        .iter()
+        .map(|st| st.traffic.next_event_us())
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Deliver `ev` to every sink. A free function so the busy branches can
 /// emit while they hold the contention core.
 fn emit_to(sinks: &[SharedSink], ev: &TraceEvent) {
@@ -281,8 +290,14 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// Cursor into `cfg.noise` (time is monotone, so passed bursts never
     /// come back).
     noise_idx: usize,
-    /// Every station saturated → the arrival loop is a no-op, skip it.
+    /// Every station saturated: the backlog flags are constant `true`
+    /// (and the event-indexed core, which has none, may be in use).
     all_saturated: bool,
+    /// Earliest [`TrafficState::next_event_us`] over all stations
+    /// (`INFINITY` when no station has a pending arrival or phase flip).
+    /// A step runs the arrival loop only once its start time reaches
+    /// it; every `advance_to` before then is a documented no-op.
+    next_traffic_event: f64,
     /// Contention-state cache for the fast-forward run loops: when
     /// `hint_valid`, `zero_bc` holds exactly the backlogged stations whose
     /// process transmits this slot (ascending station order — the same
@@ -393,6 +408,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             .map(|b| b.period)
             .unwrap_or(Microseconds(f64::INFINITY));
         let all_saturated = stations.iter().all(|s| s.traffic.is_saturated());
+        let next_traffic_event = next_traffic_event(&stations);
         // Move the contention counters into the struct-of-arrays core
         // when every process can export them; a single opt-out (or an
         // unrepresentable table) falls back to the per-object path, and
@@ -446,6 +462,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             timers: None,
             noise_idx: 0,
             all_saturated,
+            next_traffic_event,
             hint_valid: false,
             min_bc: u32::MAX,
             zero_bc: Vec::with_capacity(n),
@@ -654,12 +671,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         let slot = self.cfg.timing.slot;
         let horizon = self.cfg.horizon.as_micros();
         let next_beacon = self.next_beacon.as_micros();
-        let mut next_event = self.next_noise_edge();
-        if !self.all_saturated {
-            for st in &self.stations {
-                next_event = next_event.min(st.traffic.next_event_us());
-            }
-        }
+        let next_event = self.next_noise_edge().min(self.next_traffic_event);
         let emitting = !self.sinks.is_empty();
         let mut skipped: u64 = 0;
         while skipped < k as u64 {
@@ -853,43 +865,32 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         let t0 = self.t;
 
         // Deliver traffic arrivals up to now; newly-backlogged stations
-        // start a fresh stage-0 backoff.
-        if !self.all_saturated {
-            if let Some(core) = &mut self.core {
-                for (i, st) in self.stations.iter_mut().enumerate() {
-                    if !st.traffic.is_saturated()
-                        && st.traffic.advance_to(t0.as_micros(), &mut self.rng)
-                    {
-                        core.reset_now(i, &mut self.rng);
-                        if TRACK {
-                            // The fresh stage-0 BC isn't folded into the
-                            // cache; rebuild it below.
-                            self.hint_valid = false;
+        // start a fresh stage-0 backoff. Before the earliest pending
+        // event every `advance_to` is a no-op, so the loop is skipped,
+        // and inside it only due stations are advanced — the others
+        // would neither mutate state nor draw from the RNG.
+        let now = t0.as_micros();
+        if now >= self.next_traffic_event {
+            for (i, st) in self.stations.iter_mut().enumerate() {
+                if st.traffic.next_event_us() <= now && st.traffic.advance_to(now, &mut self.rng) {
+                    match &mut self.core {
+                        Some(core) => {
+                            core.reset_now(i, &mut self.rng);
+                            // The backlog flags mirror the queues between
+                            // steps; an arrival only ever sets one (consume
+                            // and drop clear theirs in the outcome arms).
+                            core.set_active(i, true);
                         }
+                        None => st.process.reset(&mut self.rng),
                     }
-                }
-                // Refresh the backlog flags once per step: the contender
-                // scan and the sweeps below read these instead of walking
-                // `StationCtx` (with every station saturated they are
-                // constant `true` and never refreshed). Stations whose
-                // queues change mid-step are fixed up in place.
-                for (i, st) in self.stations.iter().enumerate() {
-                    core.set_active(i, st.traffic.has_frame() || !st.retx.is_empty());
-                }
-            } else {
-                for st in &mut self.stations {
-                    if !st.traffic.is_saturated()
-                        && st.traffic.advance_to(t0.as_micros(), &mut self.rng)
-                    {
-                        st.process.reset(&mut self.rng);
-                        if TRACK {
-                            // The fresh stage-0 BC isn't folded into the
-                            // cache; rebuild it below.
-                            self.hint_valid = false;
-                        }
+                    if TRACK {
+                        // The fresh stage-0 BC isn't folded into the
+                        // cache; rebuild it below.
+                        self.hint_valid = false;
                     }
                 }
             }
+            self.next_traffic_event = next_traffic_event(&self.stations);
         }
 
         // Who transmits this slot? A station contends while it has fresh

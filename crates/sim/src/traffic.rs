@@ -206,6 +206,7 @@ impl TrafficState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -314,6 +315,56 @@ mod tests {
             (5_000.0..15_000.0).contains(&got),
             "on/off at 50% duty should halve arrivals, got {got}"
         );
+    }
+
+    fn arrival_models() -> impl Strategy<Value = TrafficModel> {
+        prop_oneof![
+            (1e-6f64..1e-2, 1usize..12).prop_map(|(rate_per_us, queue_cap)| {
+                TrafficModel::Poisson {
+                    rate_per_us,
+                    queue_cap,
+                }
+            }),
+            (1e-6f64..1e-2, 1e2f64..1e6, 1e2f64..1e6, 1usize..12).prop_map(
+                |(rate_per_us, mean_on_us, mean_off_us, queue_cap)| TrafficModel::OnOff {
+                    rate_per_us,
+                    mean_on_us,
+                    mean_off_us,
+                    queue_cap,
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The contract the engine's arrival gate rests on: strictly
+        /// before `next_event_us`, `advance_to` reports no activation,
+        /// leaves the state as it was and draws no RNG word — from any
+        /// reachable state, at the last representable instant before the
+        /// event and anywhere earlier.
+        #[test]
+        fn advance_before_the_next_event_is_a_no_op(
+            model in arrival_models(),
+            seed in any::<u64>(),
+            warm_us in 0.0f64..2e6,
+            consumed in 0usize..4,
+            earlier in 0.0f64..1.0,
+        ) {
+            let mut r = SmallRng::seed_from_u64(seed);
+            let mut s = TrafficState::new(model, &mut r);
+            s.advance_to(warm_us, &mut r);
+            s.consume(consumed);
+            let next = s.next_event_us();
+            prop_assert!(next.is_finite() && next > 0.0, "{s:?}");
+            for now in [next.next_down(), next * earlier] {
+                let (before, rng_before) = (format!("{s:?}"), r.clone());
+                prop_assert!(!s.advance_to(now, &mut r), "activated at {now} < {next}");
+                prop_assert_eq!(format!("{s:?}"), before, "state moved at {now} < {next}");
+                prop_assert!(r == rng_before, "RNG drawn at {now} < {next}");
+            }
+        }
     }
 
     #[test]

@@ -63,9 +63,21 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// a saturated N = 500 cell collides on (nearly) every busy slot, so
 /// there collisions are asserted instead.
 fn engine_allocs(n: usize, horizon_us: f64, fast_forward: bool, soa: bool) -> u64 {
+    traffic_allocs(n, TrafficModel::Saturated, horizon_us, fast_forward, soa)
+}
+
+/// [`engine_allocs`] with every station on the given arrival model.
+fn traffic_allocs(
+    n: usize,
+    traffic: TrafficModel,
+    horizon_us: f64,
+    fast_forward: bool,
+    soa: bool,
+) -> u64 {
     let sim = Simulation::ieee1901(n)
         .horizon_us(horizon_us)
         .seed(42)
+        .traffic(traffic)
         .fast_forward(fast_forward)
         .soa(soa);
     let (report, count) = allocs_during(|| sim.run());
@@ -117,6 +129,24 @@ fn object_reference_path_does_not_allocate_per_step() {
     let short = engine_allocs(10, 1e6, true, false);
     let long = engine_allocs(10, 2e6, true, false);
     assert_eq!(short, long, "per-object path allocated per step");
+}
+
+#[test]
+fn poisson_run_does_not_allocate_per_step() {
+    // The default portfolio's unsaturated cell: arrivals, queue drains
+    // and backlog-flag updates stay off the heap on every engine path.
+    let poisson = TrafficModel::Poisson {
+        rate_per_us: 3.0e-5,
+        queue_cap: 8,
+    };
+    for (fast_forward, soa) in [(true, true), (false, true), (true, false)] {
+        let short = traffic_allocs(10, poisson, 2e6, fast_forward, soa);
+        let long = traffic_allocs(10, poisson, 4e6, fast_forward, soa);
+        assert_eq!(
+            short, long,
+            "Poisson N = 10 (fast-forward {fast_forward}, soa {soa}) allocated per step"
+        );
+    }
 }
 
 #[test]
