@@ -47,6 +47,7 @@ use plc_core::config::CsmaConfig;
 use plc_core::error::{Error, Result};
 use plc_core::timing::MacTiming;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Per-slot hazards of every stage at one busy probability.
 fn hazards(config: &CsmaConfig, p: f64) -> Vec<(f64, f64)> {
@@ -270,10 +271,11 @@ impl WalkTotals {
     }
 }
 
-/// Walk the absorbing stage DTMC for `max_slots` slots, calling
-/// `on_slot(t, P(delay = t), P(delay ≤ t))` after every slot. This is
-/// the one step kernel behind [`access_delay_distribution`] and
-/// [`delay_summary`].
+/// Walk the absorbing stage DTMC for up to `max_slots` slots, calling
+/// `on_slot(t, P(delay = t), P(delay ≤ t))` after every slot; the walk
+/// stops early at the first slot whose call breaks. This is the one step
+/// kernel behind [`access_delay_distribution`], [`delay_summary`] and
+/// [`delay_p99_us`].
 ///
 /// The two stage buffers are allocated once per walk and swapped each
 /// slot. After every step, entries below `f64::MIN_POSITIVE` are set to
@@ -289,7 +291,7 @@ fn walk_delay(
     config: &CsmaConfig,
     p: f64,
     max_slots: usize,
-    mut on_slot: impl FnMut(usize, f64, f64),
+    mut on_slot: impl FnMut(usize, f64, f64) -> ControlFlow<()>,
 ) -> WalkTotals {
     let idle = 1.0 - p;
     // Per stage: the attempt hazard, and the factors of a collision or
@@ -327,7 +329,9 @@ fn walk_delay(
         std::mem::swap(&mut pi, &mut next);
         totals.absorbed += succ;
         totals.mean_num += t as f64 * succ;
-        on_slot(t, succ, totals.absorbed);
+        if on_slot(t, succ, totals.absorbed).is_break() {
+            break;
+        }
     }
     totals
 }
@@ -355,6 +359,7 @@ pub fn access_delay_distribution(
     let totals = walk_delay(config, p, max_slots, |t, succ, absorbed| {
         pmf.push(succ);
         cdf.push((t as f64, absorbed));
+        ControlFlow::Continue(())
     });
     DelayDistribution {
         pmf,
@@ -407,6 +412,9 @@ impl DelaySummary {
     }
 }
 
+/// The p99 level of [`DelaySummary::p99_slots`].
+const P99: f64 = 0.99;
+
 /// Delay summary for one tagged station of a class at attempt rate
 /// `tau` / busy probability `p` in an `n`-station domain, from a walk of
 /// `max_slots` slots. The quantiles are read off during the walk: each
@@ -419,7 +427,7 @@ pub fn delay_summary(
     timing: &MacTiming,
     max_slots: usize,
 ) -> DelaySummary {
-    const LEVELS: [f64; 3] = [0.5, 0.9, 0.99];
+    const LEVELS: [f64; 3] = [0.5, 0.9, P99];
     let mut quantiles = [None; LEVELS.len()];
     let mut reached = 0;
     let totals = walk_delay(config, p, max_slots, |t, _, absorbed| {
@@ -427,6 +435,7 @@ pub fn delay_summary(
             quantiles[reached] = Some(t as f64);
             reached += 1;
         }
+        ControlFlow::Continue(())
     });
     let [p50_slots, p90_slots, p99_slots] = quantiles;
     let mean_slots = totals.mean_slots();
@@ -442,10 +451,34 @@ pub fn delay_summary(
     }
 }
 
+/// [`DelaySummary::p99_us`] of the [`delay_summary`] with the same
+/// arguments, from a walk that stops at the first slot whose CDF reaches
+/// the p99 level. The CDF only grows, so the slots before that one fix
+/// the quantile, and the value is the summary's bit for bit. `None` when
+/// the walk truncates first, after all `max_slots` slots.
+pub(crate) fn delay_p99_us(
+    config: &CsmaConfig,
+    tau: f64,
+    p: f64,
+    n: usize,
+    timing: &MacTiming,
+    max_slots: usize,
+) -> Option<f64> {
+    let mut p99_slots = None;
+    walk_delay(config, p, max_slots, |t, _, absorbed| {
+        if absorbed >= P99 {
+            p99_slots = Some(t as f64);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    });
+    p99_slots.map(|s| s * tagged_slot_duration_us(tau, n, timing))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boost::delay_walk_slots;
+    use crate::boost::{delay_walk_slots, screen_schedule, screen_schedule_p99};
     use crate::meanfield::MeanFieldModel;
     use plc_core::config::DC_DISABLED;
     use rand::rngs::SmallRng;
@@ -604,6 +637,46 @@ mod tests {
                     .unwrap_or_else(|| panic!("{label} n={n}: the screen's solve failed"));
             }
         }
+    }
+
+    /// The screen's p99-only solve returns the bits of the full
+    /// `screen_schedule` on every solve of the default boost space. Its
+    /// walk stops at the p99 slot, so it walks 874,322 slots in all
+    /// instead of the bounds' 2,918,674; only `cw4-g1-*` at n = 30
+    /// truncate before their p99 and walk the whole bound.
+    #[test]
+    fn p99_screen_returns_the_full_screens_bits_in_fewer_slots() {
+        let timing = MacTiming::paper_default();
+        let (mut walked, mut bounds) = (0, 0);
+        let mut truncated = Vec::new();
+        for (label, config) in &screen_family() {
+            for n in [5, 10, 15, 30] {
+                let case = format!("{label} n={n}");
+                let full = screen_schedule(config, n, &timing).unwrap();
+                let (throughput, p99_us) = screen_schedule_p99(config, n, &timing).unwrap();
+                assert_eq!(throughput.to_bits(), full.throughput.to_bits(), "{case}");
+                assert_eq!(
+                    p99_us.map(f64::to_bits),
+                    full.delay.p99_us().map(f64::to_bits),
+                    "{case}"
+                );
+                let bound = delay_walk_slots(full.solution.classes[0].mean_access_delay_slots);
+                walked += full.delay.p99_slots.map_or(bound, |t| t as usize);
+                bounds += bound;
+                if p99_us.is_none() {
+                    truncated.push(case);
+                }
+            }
+        }
+        assert_eq!(
+            truncated,
+            [
+                "cw4-g1-dc1901 n=30",
+                "cw4-g1-dcaggr n=30",
+                "cw4-g1-dcoff n=30"
+            ]
+        );
+        assert_eq!((walked, bounds), (874_322, 2_918_674));
     }
 
     #[test]

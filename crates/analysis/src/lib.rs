@@ -55,8 +55,8 @@ pub mod throughput;
 
 pub use bianchi::{BianchiFixedPoint, BianchiModel};
 pub use boost::{
-    boost_search, optimize_constant_window, screen_schedule, BoostOptions, Candidate,
-    ScheduleScreen,
+    boost_search, optimize_constant_window, screen_schedule, screen_schedule_p99, BoostOptions,
+    Candidate, ScheduleScreen,
 };
 pub use cano_malone::{CanoMaloneFixedPoint, CanoMaloneModel};
 pub use coupled::{CoupledFixedPoint, CoupledModel};

@@ -247,7 +247,7 @@ pub fn collect(scale: f64) -> Result<BenchSnapshot> {
                 .run();
         },
     ));
-    // Ten isolated 50-station cells sharded across the batch pool. Each
+    // Ten isolated 50-station cells spread over the batch pool. Each
     // cell spans 49 m (inside sense range), cells sit 500 m apart
     // (isolated), so every component takes the legacy fast path — this
     // times the multi-domain scheduling/merge overhead, not a new inner

@@ -15,9 +15,9 @@
 //!   one cherry-picked operating point;
 //! * [`BoostRun`] — successive halving: an analytic **screen** (the
 //!   `Backend::MeanField` fixed point + delay DTMC via
-//!   [`plc_analysis::screen_schedule`]) prunes the space, solving each
-//!   distinct (candidate, contention-domain size) once on the run's
-//!   worker pool (≈0.06 s for the default space and portfolio on two
+//!   [`plc_analysis::screen_schedule_p99`]) prunes the space, solving
+//!   each distinct (candidate, contention-domain size) once on the run's
+//!   worker pool (≈0.03 s for the default space and portfolio on two
 //!   workers, `perfbench --trace 1` on a 2-vCPU Intel Xeon host), then
 //!   slotted **confirm rungs** with 4×-growing horizons run the
 //!   survivors through crash-tolerant [`plc_jobs::JobGroup`]s and halve

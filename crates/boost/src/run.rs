@@ -14,7 +14,7 @@
 //!   is the same file for `--workers 1` and `--workers 8`;
 //! * **exact resume** — kill the process at any instant and
 //!   [`BoostRun::resume`] replays: settled sweep points reassemble from
-//!   their journals, the analytic screen re-solves (≈0.06 s for the
+//!   their journals, the analytic screen re-solves (≈0.03 s for the
 //!   default space and portfolio on two workers), and the pruning
 //!   decisions recompute to the same survivors.
 //!

@@ -2,23 +2,24 @@
 //!
 //! Before any simulation runs, every candidate is pushed through the
 //! mean-field fixed point + delay DTMC
-//! ([`plc_analysis::screen_schedule`] — the same math behind
-//! `Backend::MeanField`) at every portfolio operating point. One solve
-//! costs ≈0.43 ms — ≈0.26 ms fixed point, ≈0.17 ms delay walk — and
-//! each distinct (candidate, contention-domain size) is solved once, on
-//! the run's worker pool: the default space's 275 points are 220 solves
-//! (`cells` contends in cells of 5, like `saturated` N = 5), screened in
-//! ≈0.06 s on two workers against ≈0.12 s for 275 serial solves
-//! (`perfbench --trace 1` on a 2-vCPU Intel Xeon host). The expensive
-//! slotted rungs only ever see the analytic survivors. The screen is
-//! also the single source of the **p99 access-delay objective** for
-//! every candidate (including the baseline): the slotted confirm rungs
-//! settle throughput and fairness, the DTMC settles the delay tail,
-//! deterministically.
+//! ([`plc_analysis::screen_schedule_p99`] — the same math behind
+//! `Backend::MeanField`, with the delay walk stopped at the p99 the
+//! screen reads) at every portfolio operating point. One solve costs
+//! ≈0.28 ms — ≈0.23 ms fixed point, ≈0.05 ms delay walk, against
+//! ≈0.17 ms for the full walk of `screen_schedule` — and each
+//! distinct (candidate, contention-domain size) is solved once, on the
+//! run's worker pool: the default space's 275 points are 220 solves
+//! (`cells` contends in cells of 5, like `saturated` N = 5), screened
+//! in ≈0.03 s on two workers (`perfbench --trace 1` on a 2-vCPU
+//! Intel Xeon host). The expensive slotted rungs only ever see the
+//! analytic survivors. The screen is also the single source of the
+//! **p99 access-delay objective** for every candidate (including the
+//! baseline): the slotted confirm rungs settle throughput and fairness,
+//! the DTMC settles the delay tail, deterministically.
 
 use crate::portfolio::Portfolio;
 use crate::space::SearchSpace;
-use plc_analysis::screen_schedule;
+use plc_analysis::screen_schedule_p99;
 use plc_core::error::Result;
 use plc_core::timing::MacTiming;
 use plc_sim::sweep::{default_workers, parallel_map};
@@ -54,15 +55,15 @@ pub fn screen_space(
 /// [`screen_space`] on `workers` threads.
 ///
 /// Each distinct (candidate, contention-domain size) pair is solved
-/// once: the default portfolio screens `cells` (20 stations in cells
-/// of 5) at n = 5, exactly like `saturated` N = 5. The solves fan out
-/// over [`parallel_map`] in candidate-major order, and its static
-/// round-robin split is the only load balancing. Every (scenario, n)
-/// then accumulates in enumeration order from its shared solve, as a
-/// serial loop over the points would — folding the weights of one size
-/// into a single term would change the bits. The error returned is the
-/// one that serial loop meets first: a candidate whose table is invalid
-/// ends it, so nothing after that candidate is solved.
+/// once: the default portfolio screens `cells` (20 stations in cells of
+/// 5) at n = 5, exactly like `saturated` N = 5. The solves fan out over
+/// [`parallel_map`] in candidate-major order, and its workers take them
+/// from one shared queue, so a costly solve holds up no other. Every
+/// (scenario, n) then accumulates in enumeration order from its shared
+/// solve, as a serial loop over the points would — folding the weights
+/// of one size into a single term would change the bits. The error
+/// returned is the one that serial loop meets first: a candidate whose
+/// table is invalid ends it, so nothing after that candidate is solved.
 pub(crate) fn screen_space_on(
     workers: usize,
     space: &SearchSpace,
@@ -100,7 +101,7 @@ pub(crate) fn screen_space_on(
         .flat_map(|c| sizes.iter().map(move |&n| (c, n)))
         .collect();
     let solved = parallel_map(workers, solves, |_, (c, n)| {
-        screen_schedule(&configs[c], n, timing).map(|s| (s.throughput, s.delay.p99_us()))
+        screen_schedule_p99(&configs[c], n, timing)
     });
     if let Some(r) = registry {
         r.counter("boost.evals").add(solved.len() as u64);
@@ -154,6 +155,7 @@ pub fn rank(scores: &[ScreenScore]) -> Vec<&ScreenScore> {
 mod tests {
     use super::*;
     use crate::space::{ScheduleCandidate, BASELINE_LABEL};
+    use plc_analysis::screen_schedule;
 
     /// The screen as a plain serial loop: one `screen_schedule` per
     /// (scenario, n) in enumeration order, nothing shared. The pooled

@@ -9,15 +9,15 @@
 //!
 //! [`JobGroup::run`] first creates or resumes every member job, so each
 //! manifest is durable before any point runs. It then settles the
-//! unsettled points of all members in one static round-robin pass over
-//! the (member, point) list, in member order: members do not run one
-//! after another, and no member waits at a barrier for the others. The
-//! collector appends each point to its own member's journal and
-//! completes a member — `results.json`, `metrics.json`, sinks — as soon
-//! as that member's last point lands, while the workers carry on with
-//! the rest. A member's `metrics.json` is therefore a snapshot of the
-//! shared registry taken at its completion, and can include in-flight
-//! points of other members.
+//! unsettled points of all members in one pass over the (member, point)
+//! list, in member order, whose workers each take the next point from a
+//! shared queue: members do not run one after another, and no member
+//! waits at a barrier for the others. The collector appends each point
+//! to its own member's journal and completes a member — `results.json`,
+//! `metrics.json`, sinks — as soon as that member's last point lands,
+//! while the workers carry on with the rest. A member's `metrics.json`
+//! is therefore a snapshot of the shared registry taken at its
+//! completion, and can include in-flight points of other members.
 //!
 //! Killing the process at any instant leaves every started member with
 //! its manifest, and any of them may be partially journaled.
@@ -278,8 +278,8 @@ mod tests {
 
     #[test]
     fn member_results_equal_the_plain_sweep_at_any_worker_count() {
-        // The pass shards the concatenated (member, point) list, so an
-        // odd worker count splits members differently from 1 and 2.
+        // Which worker settles which point of the concatenated (member,
+        // point) list depends on timing and on the worker count.
         for workers in 1..=3 {
             let dir = temp_dir(&format!("workers{workers}"));
             let report = JobGroup::new(&dir, wide_members(workers))

@@ -382,10 +382,11 @@ impl Ledger {
     }
 }
 
-/// Run every unsettled point of `jobs` in one static round-robin
+/// Run every unsettled point of `jobs` in one
 /// [`BatchRunner`](plc_sim::BatchRunner) pass over the (job, point)
 /// list, in job order, on the largest worker count any job's grid asks
-/// for. `cancel` stops the pass between points.
+/// for; each worker takes the next point from the pass's shared queue.
+/// `cancel` stops the pass between points.
 ///
 /// The collector appends each settled point to its own job's journal,
 /// and completes a job (results, metrics, sinks) as soon as its last
@@ -443,7 +444,7 @@ pub(crate) fn run_jobs(jobs: Vec<Job>, cancel: &CancelToken) -> Result<Vec<JobRe
         .run_cancellable(
             cancel,
             todo,
-            |_, (j, idx), _shard_registry| {
+            |_, (j, idx), _| {
                 let (grid, cfg) = &plans[j];
                 (j, settle_point(grid, cfg, idx))
             },

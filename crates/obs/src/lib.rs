@@ -23,9 +23,9 @@
 //! Names are dotted and owned by the instrumented layer: `engine.*`
 //! (steps, steps_skipped, soa_fallbacks), `sweep.*`, `meanfield.*`
 //! (solves, stations), `multidomain.*` (cells, components, jammed_tx,
-//! sensed_defers) and `exp.*` phase timers. Sharded work merges
-//! per-shard registries in shard order ([`Registry::merge_from`]), so
-//! counter totals are worker-count invariant.
+//! sensed_defers) and `exp.*` phase timers. Parallel work records into
+//! one shared registry from every worker; counters and timers are
+//! atomics, so counter totals are worker-count invariant.
 //!
 //! ```
 //! use plc_obs::{Registry, Observer, shared, CollectingObserver};

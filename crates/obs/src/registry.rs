@@ -279,108 +279,6 @@ impl Registry {
         self.try_timer(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fold every metric of `other` into this registry, creating
-    /// metrics that don't exist here yet. This is how the batch runner
-    /// combines per-shard registries into one result.
-    ///
-    /// Per-kind semantics:
-    ///
-    /// * **counters** and **timers** add — fully order-independent;
-    /// * **histograms** add counts, buckets and sums and combine
-    ///   min/max. Counts and buckets are order-independent; the `sum`
-    ///   is a float accumulation, so multi-way merges are pinned to the
-    ///   merge order (the batch runner merges in shard-index order);
-    /// * **gauges** are last-value-wins by definition, so the *source*
-    ///   value overwrites — merge order decides which shard's last
-    ///   value survives.
-    ///
-    /// Fails with a typed error if a name is registered with different
-    /// kinds on the two sides, or if `other` *is* this registry (a
-    /// self-merge would double every counter).
-    pub fn merge_from(&self, other: &Registry) -> Result<()> {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return Err(Error::runtime("cannot merge a registry into itself"));
-        }
-        let theirs = other.inner.metrics.lock();
-        let mut ours = self.inner.metrics.lock();
-        // Validate every name before touching anything, so a kind clash
-        // can't leave a half-merged registry behind.
-        for (name, theirs_m) in theirs.iter() {
-            if let Some(ours_m) = ours.get(name) {
-                if std::mem::discriminant(ours_m) != std::mem::discriminant(theirs_m) {
-                    return Err(Error::runtime(format!(
-                        "cannot merge metric {name:?}: {} here, {} in source",
-                        ours_m.kind(),
-                        theirs_m.kind()
-                    )));
-                }
-            }
-        }
-        for (name, theirs_m) in theirs.iter() {
-            match (ours.get(name), theirs_m) {
-                (Some(Metric::Counter(a)), Metric::Counter(b)) => {
-                    a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                (Some(Metric::Gauge(a)), Metric::Gauge(b)) => {
-                    a.store(b.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                (Some(Metric::Histogram(a)), Metric::Histogram(b)) => {
-                    let other_h = b.lock();
-                    let mut h = a.lock();
-                    if other_h.count > 0 {
-                        if h.count == 0 {
-                            h.min = other_h.min;
-                            h.max = other_h.max;
-                        } else {
-                            h.min = h.min.min(other_h.min);
-                            h.max = h.max.max(other_h.max);
-                        }
-                        h.count += other_h.count;
-                        h.sum += other_h.sum;
-                        for (dst, src) in h.buckets.iter_mut().zip(&other_h.buckets) {
-                            *dst += src;
-                        }
-                    }
-                }
-                (Some(Metric::Timer(a)), Metric::Timer(b)) => {
-                    a.count
-                        .fetch_add(b.count.load(Ordering::Relaxed), Ordering::Relaxed);
-                    a.nanos
-                        .fetch_add(b.nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                (Some(_), _) => unreachable!("kinds validated above"),
-                (None, m) => {
-                    // Deep-copy the source state into a fresh metric so
-                    // the two registries never share cells.
-                    let copy = match m {
-                        Metric::Counter(b) => {
-                            Metric::Counter(Arc::new(AtomicU64::new(b.load(Ordering::Relaxed))))
-                        }
-                        Metric::Gauge(b) => {
-                            Metric::Gauge(Arc::new(AtomicU64::new(b.load(Ordering::Relaxed))))
-                        }
-                        Metric::Histogram(b) => {
-                            let src = b.lock();
-                            Metric::Histogram(Arc::new(Mutex::new(HistData {
-                                count: src.count,
-                                sum: src.sum,
-                                min: src.min,
-                                max: src.max,
-                                buckets: src.buckets,
-                            })))
-                        }
-                        Metric::Timer(b) => Metric::Timer(Arc::new(TimerData {
-                            count: AtomicU64::new(b.count.load(Ordering::Relaxed)),
-                            nanos: AtomicU64::new(b.nanos.load(Ordering::Relaxed)),
-                        })),
-                    };
-                    ours.insert(name.clone(), copy);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// A point-in-time snapshot of every metric, names sorted, suitable
     /// for deterministic JSON export.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -843,60 +741,6 @@ mod tests {
         assert_send_sync::<Registry>();
         assert_send_sync::<Counter>();
         assert_send_sync::<SpanTimer>();
-    }
-
-    #[test]
-    fn merge_folds_every_kind() {
-        let a = Registry::new();
-        a.counter("steps").add(10);
-        a.gauge("load").set(1.0);
-        a.histogram("sizes").record(3.0);
-        a.timer("work").record(std::time::Duration::from_micros(50));
-        let b = Registry::new();
-        b.counter("steps").add(5);
-        b.counter("only_b").add(2);
-        b.gauge("load").set(2.5);
-        b.histogram("sizes").record(100.0);
-        b.timer("work").record(std::time::Duration::from_micros(25));
-        a.merge_from(&b).expect("merge");
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("steps"), Some(15));
-        assert_eq!(snap.counter("only_b"), Some(2));
-        // Gauges are last-value-wins: the source value survives.
-        assert_eq!(snap.gauges[0].value, 2.5);
-        let h = &snap.histograms[0];
-        assert_eq!(h.count, 2);
-        assert_eq!((h.min, h.max), (3.0, 100.0));
-        assert!((h.sum - 103.0).abs() < 1e-12);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 2);
-        let t = snap.timer("work").unwrap();
-        assert_eq!(t.count, 2);
-        assert!((t.total_secs - 75e-6).abs() < 1e-12);
-        // Metrics copied into `a` must not share cells with `b`.
-        b.counter("only_b").add(100);
-        assert_eq!(a.snapshot().counter("only_b"), Some(2));
-    }
-
-    #[test]
-    fn merge_rejects_kind_clash_without_partial_merge() {
-        let a = Registry::new();
-        a.counter("alpha").add(1);
-        a.counter("x").add(1);
-        let b = Registry::new();
-        b.counter("alpha").add(1);
-        b.gauge("x").set(1.0);
-        let err = a.merge_from(&b).expect_err("kind clash");
-        assert!(err.to_string().contains("cannot merge metric"), "{err}");
-        // Validation happens before mutation: alpha must be untouched.
-        assert_eq!(a.snapshot().counter("alpha"), Some(1));
-    }
-
-    #[test]
-    fn merge_rejects_self() {
-        let a = Registry::new();
-        a.counter("n").add(1);
-        assert!(a.merge_from(&a.clone()).is_err());
-        assert_eq!(a.snapshot().counter("n"), Some(1));
     }
 
     #[test]

@@ -1,35 +1,35 @@
-//! Deterministic sharded execution of many independent runs.
+//! Deterministic parallel execution of many independent runs.
 //!
-//! [`BatchRunner`] is the one substrate every fan-out in the workspace
-//! sits on: the sweep pool ([`parallel_map`](crate::sweep::parallel_map)
-//! and friends delegate here), replication batches, and any future
-//! multi-domain layer that runs one engine per contention domain.
+//! [`BatchRunner`] is the one pool every fan-out in the workspace sits
+//! on: the sweep pool ([`parallel_map`](crate::sweep::parallel_map) and
+//! friends delegate here), the confirm rungs of `plc-jobs`, replication
+//! batches, and multi-cell runs, which run one engine per contention
+//! domain.
 //!
-//! The design choices are all about reproducibility:
-//!
-//! * **Static round-robin sharding** — item `i` always runs on shard
-//!   `i % workers`, each shard walks its items in increasing index
-//!   order. No work-stealing queue, so the item→shard mapping is a pure
-//!   function of `(items.len(), workers)`.
-//! * **Input-order results** — the output vector is indexed by input
-//!   position, bit-identical for 1 worker or 64, whatever the OS
+//! * **Self-scheduling** — every worker takes the next item from one
+//!   shared queue, so a worker that finishes early (a cheap item, a
+//!   faster core) takes more items instead of idling. Which worker runs
+//!   which item depends on timing.
+//! * **Input-order results** — results are reassembled by input index,
+//!   so the output is bit-identical for 1 worker or 64, whatever the OS
 //!   scheduler does (provided the work function is deterministic in
 //!   `(index, item)`).
-//! * **Per-shard registries, merged in shard order** — when a master
-//!   [`Registry`](plc_obs::Registry) is attached, every shard gets a
-//!   private registry and the shards are folded into the master in
-//!   shard-index order after all workers join
-//!   ([`Registry::merge_from`](plc_obs::Registry::merge_from)).
-//!   Counters and timers merge order-independently; histogram float
-//!   sums and gauges are pinned by that fixed order, so instrumented
-//!   batches produce the same registry content for any worker count
-//!   (up to wall-clock timer readings, which are never deterministic).
+//! * **One registry** — every work item receives the attached
+//!   [`Registry`](plc_obs::Registry) itself and records straight into
+//!   it from its worker. Counters and span-timer counts are exact sums
+//!   for any worker count (timer durations are wall clock, never
+//!   deterministic). A histogram or gauge value recorded inside a work
+//!   item would depend on the schedule — float sums accumulate in
+//!   arrival order, a gauge keeps its last writer — and no work
+//!   function in the workspace records one.
 
 use crate::runner::{SimReport, Simulation};
+use parking_lot::Mutex;
+use plc_core::CancelToken;
 use plc_obs::Registry;
 use std::sync::mpsc;
 
-/// A fixed-size sharded runner for many independent work items.
+/// A self-scheduling pool for many independent work items.
 ///
 /// ```
 /// use plc_sim::batch::BatchRunner;
@@ -39,9 +39,9 @@ use std::sync::mpsc;
 ///     .run((0u64..100).collect(), |_, x, _| x * x);
 /// assert_eq!(squares[7], 49);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct BatchRunner {
-    workers: usize,
+    workers: Option<usize>,
     registry: Option<Registry>,
 }
 
@@ -54,52 +54,40 @@ impl std::fmt::Debug for BatchRunner {
     }
 }
 
-impl Default for BatchRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BatchRunner {
-    /// A runner sized to the machine's available parallelism.
+    /// A runner sized to the machine's available parallelism, which is
+    /// read when a batch runs unless [`workers`](BatchRunner::workers)
+    /// fixes the count first.
     pub fn new() -> Self {
-        BatchRunner {
-            workers: crate::sweep::default_workers(),
-            registry: None,
-        }
+        Self::default()
     }
 
-    /// Fixed worker (shard) count. Results are identical for any value
-    /// ≥ 1; only wall-clock time changes.
+    /// Fixed worker count. Results are identical for any value ≥ 1;
+    /// only wall-clock time changes.
     pub fn workers(mut self, w: usize) -> Self {
-        self.workers = w.max(1);
+        self.workers = Some(w.max(1));
         self
     }
 
-    /// Attach a master registry: every shard records into a private
-    /// registry, and the shards are merged into `registry` in
-    /// shard-index order when the batch completes.
+    /// Attach a registry: every work item receives it and records into
+    /// it directly.
     pub fn registry(mut self, registry: &Registry) -> Self {
         self.registry = Some(registry.clone());
         self
     }
 
-    /// The configured worker count.
+    /// The worker count: the fixed one, or the machine's available
+    /// parallelism.
     pub fn num_workers(&self) -> usize {
-        self.workers
+        self.workers.unwrap_or_else(crate::sweep::default_workers)
     }
 
-    /// Evaluate `f(index, item, shard_registry)` for every item and
-    /// return the results in input order.
+    /// Evaluate `f(index, item, registry)` for every item and return the
+    /// results in input order.
     ///
-    /// The registry argument is the shard's private registry when a
-    /// master is attached, and a disabled no-op registry otherwise —
-    /// work functions can instrument unconditionally.
-    ///
-    /// # Panics
-    ///
-    /// If merging a shard registry into the master fails (a metric name
-    /// registered with different kinds on the two sides).
+    /// The registry argument is the attached registry, or a disabled
+    /// no-op registry when none is attached — work functions can
+    /// instrument unconditionally.
     pub fn run<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
@@ -115,111 +103,30 @@ impl BatchRunner {
     /// reference, so it can persist or count results (checkpointers,
     /// progress bars) without being able to perturb the returned
     /// vector, which stays bit-identical for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// If merging a shard registry into the master fails (a metric name
-    /// registered with different kinds on the two sides).
-    pub fn run_observed<I, T, F, P>(&self, items: Vec<I>, f: F, mut on_result: P) -> Vec<T>
+    pub fn run_observed<I, T, F, P>(&self, items: Vec<I>, f: F, on_result: P) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I, &Registry) -> T + Sync,
         P: FnMut(usize, &T),
     {
-        let total = items.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(total);
-        let shard_regs: Vec<Registry> = (0..workers)
-            .map(|_| {
-                if self.registry.is_some() {
-                    Registry::new()
-                } else {
-                    Registry::disabled()
-                }
-            })
-            .collect();
-
-        let out = if workers == 1 {
-            // Run inline: same results as the sharded path, no threads.
-            let reg = &shard_regs[0];
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let r = f(i, item, reg);
-                    on_result(i, &r);
-                    r
-                })
-                .collect()
-        } else {
-            // Static round-robin: shard s owns items s, s+W, s+2W, …
-            // walked in increasing index order.
-            let mut shards: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, item) in items.into_iter().enumerate() {
-                shards[i % workers].push((i, item));
-            }
-            let (tx, rx) = mpsc::channel::<(usize, T)>();
-            let mut out: Vec<Option<T>> = Vec::with_capacity(total);
-            out.resize_with(total, || None);
-            std::thread::scope(|scope| {
-                for (shard, shard_items) in shards.into_iter().enumerate() {
-                    let tx = tx.clone();
-                    let f = &f;
-                    let reg = shard_regs[shard].clone();
-                    scope.spawn(move || {
-                        for (i, item) in shard_items {
-                            // A send fails only if the collector hung up,
-                            // which cannot happen while items remain.
-                            if tx.send((i, f(i, item, &reg))).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    on_result(i, &result);
-                    out[i] = Some(result);
-                }
-            });
-            out.into_iter()
-                .map(|r| r.expect("every shard produced its indices"))
-                .collect()
-        };
-
-        if let Some(master) = &self.registry {
-            // Shard-index order pins histogram sums and gauge values.
-            for reg in &shard_regs {
-                master
-                    .merge_from(reg)
-                    .unwrap_or_else(|e| panic!("shard registry merge failed: {e}"));
-            }
-        }
-        out
+        self.run_cancellable(&CancelToken::new(), items, f, on_result)
+            .into_iter()
+            .map(|r| r.expect("a token that never fires skips no item"))
+            .collect()
     }
 
     /// [`run_observed`](BatchRunner::run_observed) with cooperative
-    /// cancellation: each shard checks `token` **between items** and
-    /// stops picking up new ones once it fires (an item already running
+    /// cancellation: each worker checks `token` **before it takes an
+    /// item** and takes no more once it fires (an item already running
     /// completes — per-item interruption is the engine's own
     /// [`cancel`](crate::Simulation::cancel) hook). Results come back
     /// in input order as `Some` for items that ran and `None` for items
     /// skipped after cancellation; a token that never fires yields all
     /// `Some`, bit-identical to [`run`](BatchRunner::run).
-    ///
-    /// Shard registries still merge into the master in shard order, so
-    /// whatever work did happen is accounted for.
-    ///
-    /// # Panics
-    ///
-    /// If merging a shard registry into the master fails (a metric name
-    /// registered with different kinds on the two sides).
     pub fn run_cancellable<I, T, F, P>(
         &self,
-        token: &plc_core::CancelToken,
+        token: &CancelToken,
         items: Vec<I>,
         f: F,
         mut on_result: P,
@@ -230,89 +137,60 @@ impl BatchRunner {
         F: Fn(usize, I, &Registry) -> T + Sync,
         P: FnMut(usize, &T),
     {
+        let registry = self.registry.clone().unwrap_or_else(Registry::disabled);
         let total = items.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(total);
-        let shard_regs: Vec<Registry> = (0..workers)
-            .map(|_| {
-                if self.registry.is_some() {
-                    Registry::new()
-                } else {
-                    Registry::disabled()
-                }
-            })
-            .collect();
-
-        let out = if workers == 1 {
-            let reg = &shard_regs[0];
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    if token.is_cancelled() {
-                        return None;
-                    }
-                    let r = f(i, item, reg);
-                    on_result(i, &r);
-                    Some(r)
-                })
-                .collect()
-        } else {
-            let mut shards: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut out: Vec<Option<T>> = Vec::with_capacity(total);
+        out.resize_with(total, || None);
+        let workers = self.num_workers().min(total);
+        if workers <= 1 {
+            // Run inline: same results as the pool, no threads.
             for (i, item) in items.into_iter().enumerate() {
-                shards[i % workers].push((i, item));
-            }
-            let (tx, rx) = mpsc::channel::<(usize, T)>();
-            let mut out: Vec<Option<T>> = Vec::with_capacity(total);
-            out.resize_with(total, || None);
-            std::thread::scope(|scope| {
-                for (shard, shard_items) in shards.into_iter().enumerate() {
-                    let tx = tx.clone();
-                    let f = &f;
-                    let reg = shard_regs[shard].clone();
-                    let token = token.clone();
-                    scope.spawn(move || {
-                        for (i, item) in shard_items {
-                            if token.is_cancelled() {
-                                break;
-                            }
-                            if tx.send((i, f(i, item, &reg))).is_err() {
-                                break;
-                            }
-                        }
-                    });
+                if token.is_cancelled() {
+                    break;
                 }
-                drop(tx);
-                for (i, result) in rx {
-                    on_result(i, &result);
-                    out[i] = Some(result);
-                }
-            });
-            out
-        };
-
-        if let Some(master) = &self.registry {
-            for reg in &shard_regs {
-                master
-                    .merge_from(reg)
-                    .unwrap_or_else(|e| panic!("shard registry merge failed: {e}"));
+                let r = f(i, item, &registry);
+                on_result(i, &r);
+                out[i] = Some(r);
             }
+            return out;
         }
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (f, queue, registry) = (&f, &queue, &registry);
+                scope.spawn(move || {
+                    while !token.is_cancelled() {
+                        let next = queue.lock().next();
+                        let Some((i, item)) = next else { break };
+                        // A send fails only if the collector hung up,
+                        // which cannot happen while items remain.
+                        if tx.send((i, f(i, item, registry))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (i, result) in rx {
+                on_result(i, &result);
+                out[i] = Some(result);
+            }
+        });
         out
     }
 
     /// Run many independent simulations and return their reports in
-    /// input order. With a master registry attached, each engine is
-    /// instrumented into its shard's registry and the shards merge
-    /// deterministically — `engine.steps` across the whole batch ends
-    /// up in one counter no matter how many workers ran.
+    /// input order. With a registry attached, every engine instruments
+    /// into it — `engine.steps` across the whole batch ends up in one
+    /// counter no matter how many workers ran.
     ///
     /// # Panics
     ///
-    /// On invalid simulation configurations (see [`Simulation::run`])
-    /// or a shard registry merge failure.
+    /// On invalid simulation configurations (see [`Simulation::run`]),
+    /// including an attached registry that already holds one of the
+    /// engine's metric names as another kind.
     pub fn run_sims(&self, sims: Vec<Simulation>) -> Vec<SimReport> {
         let instrument = self.registry.is_some();
         self.run(sims, move |_, sim, reg| {
@@ -328,6 +206,7 @@ impl BatchRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -350,14 +229,52 @@ mod tests {
         assert_eq!(one, vec![8]);
     }
 
+    /// Item 0 blocks until every other item has run. A static split
+    /// would queue items W, 2W, … behind it on its own worker, so the
+    /// batch completes only if the other workers take them from the
+    /// shared queue.
+    #[test]
+    fn a_blocked_item_holds_back_no_other_item() {
+        const ITEMS: usize = 12;
+        for workers in [2, 3] {
+            let others = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
+            let mut seen = [0u32; ITEMS];
+            let out = BatchRunner::new().workers(workers).run_observed(
+                (0..ITEMS as u64).collect(),
+                |i, x, _| {
+                    let (done, ran) = &others;
+                    if i == 0 {
+                        let done = done.lock().unwrap();
+                        let stuck = ran
+                            .wait_timeout_while(done, Duration::from_secs(10), |n| *n < ITEMS - 1)
+                            .unwrap()
+                            .1
+                            .timed_out();
+                        assert!(!stuck, "{workers} workers: items stuck behind item 0");
+                    } else {
+                        *done.lock().unwrap() += 1;
+                        ran.notify_all();
+                    }
+                    x * 2
+                },
+                |i, &r| {
+                    assert_eq!(r, 2 * i as u64);
+                    seen[i] += 1;
+                },
+            );
+            assert_eq!(out, (0..ITEMS as u64).map(|x| x * 2).collect::<Vec<_>>());
+            assert!(seen.iter().all(|&c| c == 1), "{workers} workers: {seen:?}");
+        }
+    }
+
     #[test]
     fn worker_count_does_not_change_sim_reports() {
         let sims: Vec<Simulation> = (0..6)
             .map(|k| Simulation::ieee1901(2).horizon_us(2e5).seed(k))
             .collect();
         let serial = BatchRunner::new().workers(1).run_sims(sims.clone());
-        let sharded = BatchRunner::new().workers(4).run_sims(sims.clone());
-        assert_eq!(serial, sharded);
+        let pooled = BatchRunner::new().workers(4).run_sims(sims.clone());
+        assert_eq!(serial, pooled);
         // And each report equals its standalone run.
         for (sim, report) in sims.iter().zip(&serial) {
             assert_eq!(&sim.run(), report);
@@ -365,29 +282,53 @@ mod tests {
     }
 
     #[test]
-    fn shard_registries_merge_into_master() {
+    fn attached_registry_counts_are_exact_for_any_worker_count() {
         let count_steps = |workers: usize| {
-            let master = Registry::new();
+            let registry = Registry::new();
             let sims: Vec<Simulation> = (0..5)
                 .map(|k| Simulation::ieee1901(2).horizon_us(2e5).seed(k))
                 .collect();
             BatchRunner::new()
                 .workers(workers)
-                .registry(&master)
+                .registry(&registry)
                 .run_sims(sims);
-            let snap = master.snapshot();
+            let snap = registry.snapshot();
             (
                 snap.counter("engine.steps").expect("instrumented"),
                 snap.timer("engine.step").map(|t| t.count),
             )
         };
         let (serial_steps, serial_spans) = count_steps(1);
-        let (sharded_steps, sharded_spans) = count_steps(3);
+        let (pooled_steps, pooled_spans) = count_steps(3);
         assert!(serial_steps > 0);
-        // Counter merges are exact: the total step count is identical
-        // for any sharding.
-        assert_eq!(serial_steps, sharded_steps);
-        assert_eq!(serial_spans, sharded_spans);
+        // Counters are atomic sums: the total step count is identical
+        // for any worker count and schedule.
+        assert_eq!(serial_steps, pooled_steps);
+        assert_eq!(serial_spans, pooled_spans);
+    }
+
+    #[test]
+    fn work_items_record_straight_into_the_attached_registry() {
+        for workers in [1, 2] {
+            let registry = Registry::new();
+            let token = plc_core::CancelToken::new();
+            let mut seen = 0;
+            BatchRunner::new()
+                .workers(workers)
+                .registry(&registry)
+                .run_cancellable(
+                    &token,
+                    (0..6u64).collect(),
+                    |_, _, reg| reg.counter("items").inc(),
+                    |_, _| {
+                        // Recorded straight into the registry, so
+                        // visible while the batch still runs.
+                        seen += 1;
+                        assert!(registry.snapshot().counter("items") >= Some(seen));
+                    },
+                );
+            assert_eq!(registry.snapshot().counter("items"), Some(6));
+        }
     }
 
     #[test]
@@ -471,30 +412,47 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_still_merges_shard_registries() {
-        let master = Registry::new();
-        let token = plc_core::CancelToken::new();
-        BatchRunner::new()
-            .workers(2)
-            .registry(&master)
-            .run_cancellable(
+    fn cancelling_mid_batch_stops_every_worker() {
+        // A worker checks the token before it takes an item, so once the
+        // first result fires it, each worker finishes at most the item
+        // it holds.
+        for workers in [2, 3] {
+            let token = plc_core::CancelToken::new();
+            let out = BatchRunner::new().workers(workers).run_cancellable(
                 &token,
-                (0..6u64).collect(),
-                |_, _, reg| reg.counter("items").inc(),
-                |_, _| {},
+                (0..40u64).collect(),
+                |_, x, _| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    x * 3
+                },
+                |_, _| token.cancel(),
             );
-        assert_eq!(master.snapshot().counter("items"), Some(6));
+            let ran: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_some()).collect();
+            assert!(
+                !ran.is_empty() && ran.len() <= 2 * workers,
+                "{workers} workers: {} items ran",
+                ran.len()
+            );
+            for i in ran {
+                assert_eq!(out[i], Some(3 * i as u64), "{workers} workers, item {i}");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "shard registry merge failed")]
-    fn kind_clash_with_master_panics() {
-        let master = Registry::new();
-        master.gauge("engine.steps").set(1.0); // clashes with the counter
+    fn kind_clash_surfaces_as_the_engines_typed_error() {
+        let registry = Registry::new();
+        registry.gauge("engine.steps").set(1.0); // clashes with the counter
         let sims = vec![Simulation::ieee1901(1).horizon_us(1e5)];
-        BatchRunner::new()
+        let out = BatchRunner::new()
             .workers(1)
-            .registry(&master)
-            .run_sims(sims);
+            .registry(&registry)
+            .run(sims, |_, sim, reg| sim.registry(reg).try_run());
+        let err = out
+            .into_iter()
+            .next()
+            .expect("one result")
+            .expect_err("the engine's counter clashes with the gauge");
+        assert!(err.to_string().contains("engine.steps"), "{err}");
     }
 }

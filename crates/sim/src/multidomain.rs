@@ -18,7 +18,7 @@
 //!
 //! Cells are grouped into connected components of the coupling graph
 //! ([`Topology::components`]); components are independent simulations
-//! and are sharded across [`BatchRunner`] workers
+//! and run on the [`BatchRunner`] pool
 //! ([`Simulation::domain_workers`]). Per-cell seeds derive from the
 //! master seed and the *global* cell index, so results are byte-identical
 //! for any worker count.

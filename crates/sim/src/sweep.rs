@@ -86,13 +86,13 @@ pub fn default_workers() -> usize {
 /// Evaluate `f(index, item)` for every item on a fixed-size worker pool
 /// and return the results **in input order**.
 ///
-/// Work is sharded statically by [`BatchRunner`](crate::batch::BatchRunner):
-/// item `i` runs on worker `i % workers`, with no work stealing, so callers
-/// balance the load through the order of `items`. Finished results flow
-/// back over a channel and are reassembled by index, so the output is a
-/// pure function of the inputs — bit-identical for 1 worker or 64,
-/// whatever the OS scheduler does. `f` must itself be deterministic in
-/// `(index, item)` for that guarantee to carry through.
+/// Work runs on [`BatchRunner`](crate::batch::BatchRunner): each worker
+/// takes the next item from one shared queue, so the pool stays busy
+/// whatever the items cost. Finished results flow back over a channel
+/// and are reassembled by index, so the output is a pure function of the
+/// inputs — bit-identical for 1 worker or 64, whatever the OS scheduler
+/// does. `f` must itself be deterministic in `(index, item)` for that
+/// guarantee to carry through.
 ///
 /// ```
 /// let squares = plc_sim::sweep::parallel_map(4, (0u64..100).collect(), |_, x| x * x);
@@ -142,10 +142,10 @@ where
 /// receives only a shared reference, so it cannot perturb the returned
 /// vector, which stays bit-identical for any worker count.
 ///
-/// Execution is delegated to [`BatchRunner`](crate::batch::BatchRunner)
-/// with static round-robin sharding; see that type for the full
-/// determinism contract (and for per-shard registry merging, which this
-/// registry-less wrapper does not expose).
+/// Execution is delegated to [`BatchRunner`](crate::batch::BatchRunner)'s
+/// shared queue; see that type for the full determinism contract (and
+/// for the attached registry, which this registry-less wrapper does not
+/// expose).
 pub fn parallel_map_observed<I, T, F, P>(
     workers: usize,
     items: Vec<I>,
@@ -210,7 +210,7 @@ pub struct SweepGrid {
     stations: Vec<usize>,
     replications: u64,
     master_seed: u64,
-    workers: usize,
+    workers: Option<usize>,
     retries: u32,
     early_stop: Option<EarlyStop>,
     observers: Vec<plc_obs::SharedObserver>,
@@ -235,14 +235,15 @@ impl std::fmt::Debug for SweepGrid {
 
 impl SweepGrid {
     /// Empty grid with a master seed; defaults to 1 replication and the
-    /// machine's available parallelism.
+    /// machine's available parallelism, read when the grid runs unless
+    /// [`workers`](SweepGrid::workers) fixes the count first.
     pub fn new(master_seed: u64) -> Self {
         SweepGrid {
             configs: Vec::new(),
             stations: Vec::new(),
             replications: 1,
             master_seed,
-            workers: default_workers(),
+            workers: None,
             retries: 0,
             early_stop: None,
             observers: Vec::new(),
@@ -272,7 +273,7 @@ impl SweepGrid {
 
     /// Fixed worker-pool size. Results are identical for any value ≥ 1.
     pub fn workers(mut self, w: usize) -> Self {
-        self.workers = w.max(1);
+        self.workers = Some(w.max(1));
         self
     }
 
@@ -337,9 +338,10 @@ impl SweepGrid {
         self.retries
     }
 
-    /// Configured worker-pool size.
+    /// Worker-pool size: the fixed one, or the machine's available
+    /// parallelism.
     pub fn num_workers(&self) -> usize {
-        self.workers
+        self.workers.unwrap_or_else(default_workers)
     }
 
     /// The early-stopping rule, if one is set.
@@ -552,13 +554,14 @@ impl SweepGrid {
         let points = self.grid_points();
         let started = std::time::Instant::now();
         let timed_cell = self.timed_cell_fn();
+        let workers = self.num_workers();
 
         let results = if self.early_stop.is_some() {
             // Early stopping makes a point's replication count depend on
             // its own running CI, so the unit of work is the whole point.
             let total_points = points.len();
             parallel_map_with_progress(
-                self.workers,
+                workers,
                 points,
                 |_, (idx, label, template, n)| self.run_point(&timed_cell, idx, label, template, n),
                 |done| self.notify(started, done, total_points),
@@ -598,7 +601,7 @@ impl SweepGrid {
             // point's cells so both execution paths report the same
             // `attempts` for a deterministic workload.
             let reports = parallel_map_with_progress(
-                self.workers,
+                workers,
                 cells,
                 |_, (idx, template, n, rep)| {
                     let mut attempts: u32 = 1;

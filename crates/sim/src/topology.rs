@@ -327,7 +327,7 @@ impl Topology {
 
     /// Connected components of the cell-coupling graph, each a sorted
     /// list of cell indices. Components are independent: the multi-domain
-    /// runner shards them across [`crate::batch::BatchRunner`] workers.
+    /// runner spreads them over the [`crate::batch::BatchRunner`] pool.
     pub fn components(&self) -> Vec<Vec<usize>> {
         let c = self.num_cells();
         let mut comp_of = vec![usize::MAX; c];

@@ -147,7 +147,7 @@ impl P2Quantile {
     }
 
     /// Absorb another estimator of the **same quantile** (e.g. one per
-    /// worker shard in a batch run).
+    /// worker of a parallel run).
     ///
     /// P² keeps five markers, not the observations, so an exact merge is
     /// impossible. This merge is the standard weighted-marker combine:
@@ -160,9 +160,8 @@ impl P2Quantile {
     ///
     /// Determinism: merging is pairwise symmetric (IEEE addition and
     /// multiplication commute), but **not associative** — merging three
-    /// or more shards is pinned to the merge order. Callers that need
-    /// reproducible output must merge in a fixed order (the batch runner
-    /// merges in shard-index order).
+    /// or more estimators is pinned to the merge order. Callers that
+    /// need reproducible output must merge in a fixed order.
     ///
     /// # Panics
     ///
