@@ -8,22 +8,22 @@
 //! the winning configurations can then be validated by simulation (the
 //! `boost` experiment does both).
 //!
-//! Two searches are provided:
+//! This module provides:
 //!
 //! * [`optimize_constant_window`] — the classic single-stage optimum: pick
 //!   one fixed CW (no deferral, no doubling) maximizing throughput for a
 //!   known N. Its closed-form approximation `CW* ≈ N √(2 Tc/σ)` is a
 //!   useful sanity anchor.
-//! * [`boost_search`] — enumerate structured 1901-style tables (geometric
-//!   window progressions × deferral patterns) and rank by model
-//!   throughput, optionally with a short-term-fairness guard (bounding the
-//!   ratio of the last window to the first, since giant last stages are
-//!   what starve losers).
+//! * [`screen_schedule`] / [`screen_schedule_p99`] — the analytic screen
+//!   of one (CW, DC) table: mean-field throughput plus the access-delay
+//!   tail. The search over structured 1901-style tables (geometric window
+//!   progressions × deferral patterns) is `plc-boost`'s, which ranks a
+//!   whole `SearchSpace` with this screen.
 
 use crate::drift::{delay_p99_us, delay_summary, DelaySummary};
 use crate::meanfield::{check_station_count, MeanFieldModel, MeanFieldSolution};
 use crate::model1901::Model1901;
-use plc_core::config::{CsmaConfig, DC_DISABLED};
+use plc_core::config::CsmaConfig;
 use plc_core::error::{Error, Result};
 use plc_core::timing::MacTiming;
 use serde::{Deserialize, Serialize};
@@ -68,81 +68,6 @@ pub fn optimize_constant_window(n: usize, timing: &MacTiming) -> Candidate {
 /// small τ).
 pub fn approx_optimal_window(n: usize, timing: &MacTiming) -> f64 {
     n as f64 * (2.0 * timing.tc.as_micros() / timing.slot.as_micros()).sqrt()
-}
-
-/// Options for [`boost_search`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BoostOptions {
-    /// Number of backoff stages in the candidate tables.
-    pub stages: usize,
-    /// Upper bound on `CW_last / CW_0` — a fairness guard: larger spreads
-    /// mean heavier short-term starvation of collision losers. Use
-    /// `f64::INFINITY` to disable.
-    pub max_window_spread: f64,
-    /// How many top candidates to return.
-    pub top_k: usize,
-}
-
-impl Default for BoostOptions {
-    fn default() -> Self {
-        BoostOptions {
-            stages: 4,
-            max_window_spread: f64::INFINITY,
-            top_k: 5,
-        }
-    }
-}
-
-/// Enumerate structured candidate tables and return the `top_k` by model
-/// throughput at `n` stations.
-///
-/// The candidate space is the cross product of
-/// `CW₀ ∈ {4, 8, 16, 32, 64, 128}`, window growth `g ∈ {1, 2, 4}`
-/// (so `CW_i = CW₀ · g^i`, capped at 2¹⁶) and deferral patterns
-/// `{standard 1901 (0,1,3,15…), aggressive (0,0,1,3…), off}` truncated to
-/// the requested stage count — 54 candidates by default, each costing one
-/// fixed-point solve.
-pub fn boost_search(n: usize, timing: &MacTiming, opts: &BoostOptions) -> Vec<Candidate> {
-    assert!(n >= 1);
-    assert!(opts.stages >= 1);
-    let cw0_choices = [4u32, 8, 16, 32, 64, 128];
-    let growth_choices = [1u32, 2, 4];
-    let standard_dc = [0u32, 1, 3, 15, 15, 15, 15, 15];
-    let aggressive_dc = [0u32, 0, 1, 3, 7, 15, 15, 15];
-
-    let mut candidates = Vec::new();
-    for &cw0 in &cw0_choices {
-        for &g in &growth_choices {
-            let mut cw = Vec::with_capacity(opts.stages);
-            let mut ok = true;
-            for i in 0..opts.stages {
-                let w = (cw0 as u64) * (g as u64).pow(i as u32);
-                if w > 1 << 16 {
-                    ok = false;
-                    break;
-                }
-                cw.push(w as u32);
-            }
-            if !ok {
-                continue;
-            }
-            let spread = *cw.last().unwrap() as f64 / cw[0] as f64;
-            if spread > opts.max_window_spread {
-                continue;
-            }
-            for dc_pattern in [&standard_dc[..], &aggressive_dc[..]] {
-                let dc: Vec<u32> = dc_pattern.iter().copied().take(opts.stages).collect();
-                push_candidate(&mut candidates, &cw, &dc, n, timing);
-            }
-            // Deferral disabled.
-            let dc_off = vec![DC_DISABLED; opts.stages];
-            push_candidate(&mut candidates, &cw, &dc_off, n, timing);
-        }
-    }
-
-    candidates.sort_by(|a, b| b.throughput.partial_cmp(&a.throughput).expect("finite"));
-    candidates.truncate(opts.top_k);
-    candidates
 }
 
 /// One analytic screen of a candidate schedule at `n` stations: the
@@ -243,22 +168,6 @@ fn solve_screen(config: &CsmaConfig, n: usize, timing: &MacTiming) -> Result<Mea
     MeanFieldModel::single(config.clone(), n).solve()
 }
 
-fn push_candidate(out: &mut Vec<Candidate>, cw: &[u32], dc: &[u32], n: usize, timing: &MacTiming) {
-    let Ok(cfg) = CsmaConfig::from_vectors(cw, dc) else {
-        return;
-    };
-    let model = Model1901::new(cfg.clone());
-    let fp = model.solve(n);
-    let s = model.throughput(n, timing);
-    if s.is_finite() {
-        out.push(Candidate {
-            config: cfg,
-            throughput: s,
-            collision_probability: fp.collision_probability,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,64 +183,6 @@ mod tests {
         let approx = approx_optimal_window(20, &timing);
         let ratio = w20 as f64 / approx;
         assert!((0.5..=2.0).contains(&ratio), "W*={w20}, approx {approx:.0}");
-    }
-
-    #[test]
-    fn boosted_beats_default_at_large_n() {
-        // The default CA1 table is tuned for few stations; at N = 20 the
-        // search must find something strictly better.
-        let timing = MacTiming::paper_default();
-        let n = 20;
-        let default_s = Model1901::default_ca1().throughput(n, &timing);
-        let best = &boost_search(n, &timing, &BoostOptions::default())[0];
-        assert!(
-            best.throughput > default_s + 0.01,
-            "boosted {} vs default {default_s}",
-            best.throughput
-        );
-    }
-
-    #[test]
-    fn default_table_is_near_optimal_at_small_n() {
-        // At N = 2 the standard table should be close to the best found
-        // (within a few percent) — 1901 was designed for small homes.
-        let timing = MacTiming::paper_default();
-        let default_s = Model1901::default_ca1().throughput(2, &timing);
-        let best = &boost_search(2, &timing, &BoostOptions::default())[0];
-        assert!(
-            best.throughput - default_s < 0.06,
-            "gap {}",
-            best.throughput - default_s
-        );
-    }
-
-    #[test]
-    fn fairness_guard_restricts_spread() {
-        let timing = MacTiming::paper_default();
-        let opts = BoostOptions {
-            max_window_spread: 8.0,
-            top_k: 50,
-            ..Default::default()
-        };
-        let cands = boost_search(10, &timing, &opts);
-        assert!(!cands.is_empty());
-        for c in &cands {
-            let spread = c.config.cw_max() as f64 / c.config.cw_min() as f64;
-            assert!(spread <= 8.0, "spread {spread} violates guard");
-        }
-    }
-
-    #[test]
-    fn top_k_is_sorted_and_bounded() {
-        let timing = MacTiming::paper_default();
-        let opts = BoostOptions {
-            top_k: 3,
-            ..Default::default()
-        };
-        let cands = boost_search(5, &timing, &opts);
-        assert_eq!(cands.len(), 3);
-        assert!(cands[0].throughput >= cands[1].throughput);
-        assert!(cands[1].throughput >= cands[2].throughput);
     }
 
     #[test]
@@ -351,20 +202,5 @@ mod tests {
         );
         assert!(p20 > p5, "p99 delay must grow with contention");
         assert!(screen_schedule(&ca1, 0, &timing).is_err());
-    }
-
-    #[test]
-    fn single_stage_search_space() {
-        let timing = MacTiming::paper_default();
-        let opts = BoostOptions {
-            stages: 1,
-            top_k: 100,
-            ..Default::default()
-        };
-        let cands = boost_search(5, &timing, &opts);
-        assert!(!cands.is_empty());
-        for c in &cands {
-            assert_eq!(c.config.num_stages(), 1);
-        }
     }
 }

@@ -30,8 +30,9 @@
 //!   backend cross-validation suite.
 //! * [`throughput`] — slot-structure throughput/delay formulas shared by
 //!   both models.
-//! * [`boost`] — parameter-space search for throughput-optimal (CW, DC)
-//!   tables, the "boosting" use case.
+//! * [`boost`] — the analytic screen of one (CW, DC) table that
+//!   `plc-boost` ranks whole search spaces with, and the single-stage
+//!   constant-window optimum.
 //!
 //! Everything is deterministic, allocation-light and fast: a mean-field
 //! screen of one (candidate, n) — fixed point plus delay walk — takes
@@ -55,8 +56,7 @@ pub mod throughput;
 
 pub use bianchi::{BianchiFixedPoint, BianchiModel};
 pub use boost::{
-    boost_search, optimize_constant_window, screen_schedule, screen_schedule_p99, BoostOptions,
-    Candidate, ScheduleScreen,
+    optimize_constant_window, screen_schedule, screen_schedule_p99, Candidate, ScheduleScreen,
 };
 pub use cano_malone::{CanoMaloneFixedPoint, CanoMaloneModel};
 pub use coupled::{CoupledFixedPoint, CoupledModel};

@@ -6,7 +6,7 @@
 //! iterations are whole simulations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use plc_analysis::{boost_search, BianchiModel, BoostOptions, CoupledModel, Model1901};
+use plc_analysis::{BianchiModel, CoupledModel, Model1901};
 use plc_core::timing::MacTiming;
 use plc_core::units::Microseconds;
 use plc_sim::{PaperSim, Simulation};
@@ -98,13 +98,14 @@ fn bench_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// E3: the boost search (54 fixed-point solves).
+/// E3: the boost search — the `plc-boost` screen of the 55-candidate
+/// default space at one saturated N (55 mean-field solves).
 fn bench_boost(c: &mut Criterion) {
     let mut g = c.benchmark_group("boost");
     g.sample_size(10);
     let timing = MacTiming::paper_default();
     g.bench_function("search_n10", |b| {
-        b.iter(|| black_box(boost_search(10, &timing, &BoostOptions::default())))
+        b.iter(|| black_box(plc_bench::exp::boost::best_at(10, &timing)))
     });
     g.finish();
 }

@@ -76,8 +76,8 @@ impl SearchSpace {
     /// The full production space: the baseline plus the cross product of
     /// `CW₀ ∈ {4, 8, 16, 32, 64, 128}` × window growth `g ∈ {1, 2, 4}`
     /// (`CW_i = CW₀·gⁱ`, four stages, capped at 2¹⁶) × deferral pattern
-    /// `{standard 1901, aggressive, off}` — 55 candidates, the same
-    /// structured family `plc_analysis::boost_search` enumerates.
+    /// `{standard 1901, aggressive, off}` — 55 candidates. E3
+    /// (`experiments boost`) ranks this space at one saturated N.
     pub fn default_space() -> SearchSpace {
         Self::enumerated("default", &[4, 8, 16, 32, 64, 128], &[1, 2, 4], true)
     }

@@ -155,11 +155,7 @@ impl Job {
                 cfg.dir.display()
             )));
         }
-        let manifest = JobManifest::from_grid(
-            &grid,
-            cfg.timeout.map(|t| t.as_millis() as u64),
-            cfg.grid_name.clone(),
-        );
+        let manifest = JobManifest::from_grid(&grid, &cfg);
         let mut doc = serde_json::to_string(&manifest).expect("manifest serializes");
         doc.push('\n');
         plc_core::fs::atomic_write(&manifest_path, doc.as_bytes())?;
@@ -181,11 +177,7 @@ impl Job {
     /// — a journal is never merged across sweeps.
     pub fn resume(grid: SweepGrid, cfg: JobConfig) -> Result<Job> {
         let manifest = read_manifest(&cfg.dir)?;
-        let rebuilt = JobManifest::from_grid(
-            &grid,
-            cfg.timeout.map(|t| t.as_millis() as u64),
-            cfg.grid_name.clone(),
-        );
+        let rebuilt = JobManifest::from_grid(&grid, &cfg);
         if let Some(why) = manifest.mismatch(&rebuilt) {
             return Err(Error::invalid_config(format!(
                 "cannot resume {}: {}",

@@ -21,8 +21,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PointOutcome {
     /// The point ran to completion (possibly as a contained
-    /// [`Failed`](SweepPointResult::Failed) after in-sweep panic
-    /// retries).
+    /// [`Failed`](SweepPointResult::Failed) panic).
     Done(SweepPointResult),
     /// Every attempt hit the per-point watchdog; partial metrics were
     /// discarded (a timed-out point never masquerades as data).
@@ -70,7 +69,6 @@ impl PointOutcome {
                 n: *n,
                 point_index: *point_index,
                 reason: format!("watchdog timeout after {timeout_ms} ms"),
-                attempts: 1,
             },
         }
     }
@@ -346,7 +344,6 @@ mod tests {
             n: 2,
             point_index: 1,
             reason: "panic".into(),
-            attempts: 2,
         };
         let e = JournalEntry {
             point_index: 1,

@@ -10,6 +10,7 @@
 //! because every point is a pure function of `(master_seed,
 //! point_index)`.
 
+use crate::job::JobConfig;
 use plc_sim::sweep::{EarlyStop, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -36,8 +37,9 @@ pub struct JobManifest {
     pub num_points: usize,
     /// The early-stopping rule, if one is set.
     pub early_stop: Option<EarlyStop>,
-    /// Per-point retry budget the job ran with (recorded, not part of
-    /// the compatibility fingerprint).
+    /// Job-level retry budget per point ([`JobConfig::retries`]) the job
+    /// was created with (recorded, not part of the compatibility
+    /// fingerprint).
     pub retries: u32,
     /// Per-point watchdog timeout in milliseconds, if armed (recorded,
     /// not fingerprinted).
@@ -54,8 +56,9 @@ pub struct JobManifest {
 
 impl JobManifest {
     /// Capture `grid` (shape and determinism knobs) plus the job's
-    /// execution policy.
-    pub fn from_grid(grid: &SweepGrid, timeout_ms: Option<u64>, grid_name: Option<String>) -> Self {
+    /// execution policy from `cfg` (retry budget, watchdog timeout,
+    /// grid name).
+    pub fn from_grid(grid: &SweepGrid, cfg: &JobConfig) -> Self {
         // A process's provenance does not change while it runs, and each
         // `git` spawn costs milliseconds on every create and resume.
         static CREATED_BY: OnceLock<Option<String>> = OnceLock::new();
@@ -67,29 +70,19 @@ impl JobManifest {
             stations: grid.station_counts().to_vec(),
             num_points: grid.num_points(),
             early_stop: grid.early_stop_rule(),
-            retries: grid.retry_budget(),
-            timeout_ms,
-            grid_name,
+            retries: cfg.retries,
+            timeout_ms: cfg.timeout.map(|t| t.as_millis() as u64),
+            grid_name: cfg.grid_name.clone(),
             created_by: CREATED_BY.get_or_init(git_describe).clone(),
         }
     }
 
-    /// Whether `self` (from disk) describes the same deterministic sweep
-    /// as `other` (rebuilt by the resuming process). Compares format
-    /// version and every determinism-relevant field; ignores execution
-    /// policy and provenance.
-    pub fn same_grid(&self, other: &JobManifest) -> bool {
-        self.format_version == other.format_version
-            && self.master_seed == other.master_seed
-            && self.replications == other.replications
-            && self.configs == other.configs
-            && self.stations == other.stations
-            && self.num_points == other.num_points
-            && self.early_stop == other.early_stop
-    }
-
     /// Human-readable one-line description of the first fingerprint
-    /// mismatch against `other`, if any.
+    /// mismatch against `other`, if any: `None` exactly when `self`
+    /// (from disk) describes the same deterministic sweep as `other`
+    /// (rebuilt by the resuming process). Compares format version and
+    /// every determinism-relevant field; ignores execution policy and
+    /// provenance.
     pub fn mismatch(&self, other: &JobManifest) -> Option<String> {
         if self.format_version != other.format_version {
             return Some(format!(
@@ -165,52 +158,62 @@ mod tests {
             .replications(2)
     }
 
+    /// A job policy for the manifest tests; its directory is never
+    /// touched.
+    fn policy(retries: u32, timeout_ms: Option<u64>, grid_name: Option<&str>) -> JobConfig {
+        let mut cfg = JobConfig::new("unused");
+        cfg.retries = retries;
+        cfg.timeout = timeout_ms.map(std::time::Duration::from_millis);
+        cfg.grid_name = grid_name.map(str::to_string);
+        cfg
+    }
+
     #[test]
     fn manifest_captures_the_grid() {
-        let m = JobManifest::from_grid(&grid(), Some(500), Some("unit".into()));
+        let m = JobManifest::from_grid(&grid(), &policy(2, Some(500), Some("unit")));
         assert_eq!(m.format_version, FORMAT_VERSION);
         assert_eq!(m.master_seed, 7);
         assert_eq!(m.replications, 2);
         assert_eq!(m.configs, vec!["ca1".to_string()]);
         assert_eq!(m.stations, vec![2, 3]);
         assert_eq!(m.num_points, 2);
+        assert_eq!(m.retries, 2);
         assert_eq!(m.timeout_ms, Some(500));
         assert_eq!(m.grid_name.as_deref(), Some("unit"));
     }
 
     #[test]
     fn fingerprint_ignores_execution_policy() {
-        let a = JobManifest::from_grid(&grid(), Some(500), None);
-        let mut b = JobManifest::from_grid(&grid().workers(8).retries(3), None, Some("x".into()));
+        let a = JobManifest::from_grid(&grid(), &policy(0, Some(500), None));
+        let mut b = JobManifest::from_grid(&grid().workers(8), &policy(3, None, Some("x")));
         b.created_by = Some("elsewhere".into());
-        assert!(a.same_grid(&b), "{:?}", a.mismatch(&b));
-        assert!(a.mismatch(&b).is_none());
+        assert_eq!(a.mismatch(&b), None);
+        assert_eq!(b.mismatch(&a), None);
     }
 
     #[test]
     fn fingerprint_catches_every_grid_change() {
-        let base = JobManifest::from_grid(&grid(), None, None);
+        let cfg = policy(0, None, None);
+        let base = JobManifest::from_grid(&grid(), &cfg);
         let seeds = JobManifest::from_grid(
             &SweepGrid::new(8)
                 .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
                 .stations([2, 3])
                 .replications(2),
-            None,
-            None,
+            &cfg,
         );
-        assert!(!base.same_grid(&seeds));
+        assert!(base.mismatch(&seeds).unwrap().contains("master seed"));
         assert!(seeds.mismatch(&base).unwrap().contains("master seed"));
-        let fewer = JobManifest::from_grid(&grid().stations([2]), None, None);
-        assert!(!base.same_grid(&fewer));
+        let fewer = JobManifest::from_grid(&grid().stations([2]), &cfg);
+        assert!(base.mismatch(&fewer).unwrap().contains("station counts"));
         let mut version = base.clone();
         version.format_version += 1;
-        assert!(!base.same_grid(&version));
         assert!(base.mismatch(&version).unwrap().contains("format version"));
     }
 
     #[test]
     fn manifest_round_trips_through_json() {
-        let m = JobManifest::from_grid(&grid(), None, Some("unit".into()));
+        let m = JobManifest::from_grid(&grid(), &policy(1, None, Some("unit")));
         let json = serde_json::to_string(&m).unwrap();
         let back: JobManifest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);

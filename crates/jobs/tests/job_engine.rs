@@ -3,7 +3,9 @@
 //! (Kill-and-resume across real processes lives in `plc-bench`, next to
 //! the `experiments` binary it drives.)
 
-use plc_jobs::{ChannelSink, Job, JobConfig, JobStatus, JsonlFileSink, PointOutcome};
+use plc_jobs::{
+    ChannelSink, Job, JobConfig, JobStatus, Journal, JournalEntry, JsonlFileSink, PointOutcome,
+};
 use plc_sim::{Simulation, SweepGrid};
 use std::path::PathBuf;
 
@@ -222,5 +224,118 @@ fn graceful_cancel_keeps_the_journal_and_resume_finishes() {
     assert_eq!(resumed.resumed, 1);
     assert_eq!(resumed.executed, 3);
     assert_eq!(resumed.results.unwrap().to_json(), clean);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A template whose engine asserts at construction (an invalid
+/// `MacTiming`): a point that panics identically on every attempt.
+fn broken_sim() -> Simulation {
+    let mut bad = plc_core::timing::MacTiming::paper_default();
+    bad.slot = plc_core::units::Microseconds(-1.0);
+    Simulation::ieee1901(1).horizon_us(1e5).timing(bad)
+}
+
+/// A good config and an always-panicking one: the first half of the
+/// points succeeds, the second half fails.
+fn grid_with_a_broken_config(stations: &[usize]) -> SweepGrid {
+    SweepGrid::new(17)
+        .config("good", Simulation::ieee1901(1).horizon_us(1e5))
+        .config("bad", broken_sim())
+        .stations(stations.iter().copied())
+        .replications(2)
+        .workers(2)
+}
+
+#[test]
+fn job_retries_a_panicking_point_then_quarantines_it() {
+    let dir = temp_dir("panic");
+    let grid = grid_with_a_broken_config(&[2]);
+    let mut cfg = JobConfig::new(&dir);
+    cfg.retries = 2;
+    let registry = plc_obs::Registry::new();
+    let report = Job::create(grid.clone(), cfg)
+        .unwrap()
+        .registry(&registry)
+        .run()
+        .unwrap();
+    // The job is the one retry layer: the bad point ran 1 + 2 times,
+    // then settled as a contained failure and was quarantined.
+    assert!(report.is_complete());
+    assert_eq!(report.retried, 2);
+    assert_eq!(report.quarantined.len(), 1);
+    let q = &report.quarantined[0];
+    assert_eq!((q.point_index, q.config.as_str()), (1, "bad"));
+    assert_eq!(q.job_attempts, 3, "two retries before quarantine");
+    assert!(q.reason.contains("MacTiming"), "reason: {}", q.reason);
+    assert_eq!(JobStatus::quarantine(&dir).unwrap(), report.quarantined);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("job.points_retried"), Some(2));
+    assert_eq!(snap.counter("job.points_quarantined"), Some(1));
+    // Same-seed replays leave no trace in the results: they match a
+    // plain sweep of the grid byte for byte, the failure included.
+    let on_disk = std::fs::read_to_string(dir.join(plc_jobs::RESULTS_FILE_NAME)).unwrap();
+    assert_eq!(on_disk, format!("{}\n", grid.run().to_json()));
+    // The manifest records the budget the job ran with.
+    assert_eq!(plc_jobs::read_manifest(&dir).unwrap().retries, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn journal_lines_with_a_sweep_attempts_field_resume_byte_identical() {
+    // Journals written while sweep points still carried an `attempts`
+    // field hold `"attempts":1` inside every point. The format version
+    // did not change when the field went, so such a job directory must
+    // resume to the bytes of a fresh run.
+    let fresh_dir = temp_dir("legacy_fresh");
+    let fresh = Job::create(
+        grid_with_a_broken_config(&[2, 3]),
+        JobConfig::new(&fresh_dir),
+    )
+    .unwrap()
+    .run()
+    .unwrap();
+    assert!(fresh.is_complete());
+    let fresh_results =
+        std::fs::read_to_string(fresh_dir.join(plc_jobs::RESULTS_FILE_NAME)).unwrap();
+    let fresh_journal = std::fs::read_to_string(fresh_dir.join(Journal::FILE_NAME)).unwrap();
+
+    // Points 0 (ok) and 2 (failed) as the older layout wrote them: the
+    // field sat between `replications_run` and `summary` of a completed
+    // point, and after `reason` of a failed one.
+    let mut legacy = String::new();
+    for line in fresh_journal.lines() {
+        let entry: JournalEntry = serde_json::from_str(line).unwrap();
+        let old = match entry.point_index {
+            0 => line.replacen(",\"summary\":", ",\"attempts\":1,\"summary\":", 1),
+            2 => {
+                let head = line
+                    .strip_suffix("}}}}")
+                    .expect("a failed point closes four objects");
+                format!("{head},\"attempts\":1}}}}}}}}")
+            }
+            _ => continue,
+        };
+        assert_ne!(old, line);
+        assert!(old.contains("\"attempts\":1"), "{old}");
+        let back: JournalEntry = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, entry, "the extra field is ignored on load");
+        legacy.push_str(&old);
+        legacy.push('\n');
+    }
+
+    let dir = temp_dir("legacy_resume");
+    drop(Job::create(grid_with_a_broken_config(&[2, 3]), JobConfig::new(&dir)).unwrap());
+    std::fs::write(dir.join(Journal::FILE_NAME), legacy).unwrap();
+    let resumed = Job::resume(
+        grid_with_a_broken_config(&[2, 3]).workers(1),
+        JobConfig::new(&dir),
+    )
+    .unwrap()
+    .run()
+    .unwrap();
+    assert_eq!((resumed.resumed, resumed.executed), (2, 2));
+    let results = std::fs::read_to_string(dir.join(plc_jobs::RESULTS_FILE_NAME)).unwrap();
+    assert_eq!(results, fresh_results);
+    std::fs::remove_dir_all(&fresh_dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

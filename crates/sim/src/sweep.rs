@@ -18,9 +18,9 @@
 //!   a [`ReplicationSummary`] grid, optionally stopping a point early once
 //!   its 95% CI half-width undercuts a target;
 //! * panics inside a replication are **contained** per point
-//!   ([`SweepPointResult::Failed`]), optionally replayed under a
-//!   [`SweepGrid::retries`] budget (same seeds, so a recovered retry is
-//!   byte-identical to a first-try success);
+//!   ([`SweepPointResult::Failed`]); replaying a point is the job
+//!   layer's business (`plc-jobs` retries and quarantines whole points
+//!   with the same seeds);
 //! * [`SweepGrid::run_point_at`] / [`SweepGrid::run_point_with`] expose
 //!   single-point evaluation (with optional cooperative cancellation)
 //!   for external job engines that journal and resume points
@@ -211,7 +211,6 @@ pub struct SweepGrid {
     replications: u64,
     master_seed: u64,
     workers: Option<usize>,
-    retries: u32,
     early_stop: Option<EarlyStop>,
     observers: Vec<plc_obs::SharedObserver>,
     registry: Option<plc_obs::Registry>,
@@ -225,7 +224,6 @@ impl std::fmt::Debug for SweepGrid {
             .field("replications", &self.replications)
             .field("master_seed", &self.master_seed)
             .field("workers", &self.workers)
-            .field("retries", &self.retries)
             .field("early_stop", &self.early_stop)
             .field("observers", &self.observers.len())
             .field("registry", &self.registry.is_some())
@@ -244,7 +242,6 @@ impl SweepGrid {
             replications: 1,
             master_seed,
             workers: None,
-            retries: 0,
             early_stop: None,
             observers: Vec::new(),
             registry: None,
@@ -274,22 +271,6 @@ impl SweepGrid {
     /// Fixed worker-pool size. Results are identical for any value ≥ 1.
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = Some(w.max(1));
-        self
-    }
-
-    /// Transient-panic retry budget per point (default 0).
-    ///
-    /// A panicking execution is replayed with the **same** derived seeds
-    /// up to `k` extra times before the point is recorded as
-    /// [`SweepPointResult::Failed`]. Replaying identical seeds keeps the
-    /// determinism contract: a retry that succeeds produces exactly the
-    /// bytes a first-try success would have. Retries therefore only help
-    /// against *environmental* faults (memory exhaustion, injected
-    /// chaos); a deterministic panic fails identically on every attempt
-    /// and just costs `k` extra executions. The attempt count is recorded
-    /// on the result either way.
-    pub fn retries(mut self, k: u32) -> Self {
-        self.retries = k;
         self
     }
 
@@ -330,12 +311,6 @@ impl SweepGrid {
     /// Requested replications per point.
     pub fn replication_budget(&self) -> u64 {
         self.replications
-    }
-
-    /// Transient-panic retry budget per point (see
-    /// [`retries`](SweepGrid::retries)).
-    pub fn retry_budget(&self) -> u32 {
-        self.retries
     }
 
     /// Worker-pool size: the fixed one, or the machine's available
@@ -458,43 +433,31 @@ impl SweepGrid {
         let master = self.master_seed;
         let max_reps = self.reps_for(template);
         let early = self.early_stop;
-        let mut attempt: u32 = 1;
-        loop {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut acc = PointAccumulator::new();
-                let mut reps_run = 0;
-                for rep in 0..max_reps {
-                    let report = cell(template, n, master, idx as u64, rep);
-                    acc.merge_report(&report);
-                    reps_run = rep + 1;
-                    if let Some(rule) = early {
-                        if reps_run >= rule.min_replications.max(2)
-                            && acc.ci95_half_width(rule.quantity) <= rule.ci95_half_width
-                        {
-                            break;
-                        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut acc = PointAccumulator::new();
+            let mut reps_run = 0;
+            for rep in 0..max_reps {
+                let report = cell(template, n, master, idx as u64, rep);
+                acc.merge_report(&report);
+                reps_run = rep + 1;
+                if let Some(rule) = early {
+                    if reps_run >= rule.min_replications.max(2)
+                        && acc.ci95_half_width(rule.quantity) <= rule.ci95_half_width
+                    {
+                        break;
                     }
-                }
-                acc.finish(label.to_string(), n, idx, reps_run)
-            }));
-            match caught {
-                Ok(mut point) => {
-                    point.attempts = attempt;
-                    return SweepPointResult::Ok(point);
-                }
-                Err(payload) => {
-                    if attempt > self.retries {
-                        return SweepPointResult::Failed {
-                            config: label.to_string(),
-                            n,
-                            point_index: idx,
-                            reason: panic_reason(payload),
-                            attempts: attempt,
-                        };
-                    }
-                    attempt += 1;
                 }
             }
+            acc.finish(label.to_string(), n, idx, reps_run)
+        }));
+        match caught {
+            Ok(point) => SweepPointResult::Ok(point),
+            Err(payload) => SweepPointResult::Failed {
+                config: label.to_string(),
+                n,
+                point_index: idx,
+                reason: panic_reason(payload),
+            },
         }
     }
 
@@ -506,8 +469,7 @@ impl SweepGrid {
     /// path as early-stopping sweeps, which is pinned byte-identical to
     /// [`run`](SweepGrid::run)'s fan-out merge — assembling
     /// [`SweepResults`] from per-point calls reproduces a whole-grid run
-    /// bit for bit. Panic containment and the
-    /// [`retries`](SweepGrid::retries) budget apply exactly as in `run`.
+    /// bit for bit. Panics are contained exactly as in `run`.
     pub fn run_point_at(&self, point_index: usize) -> Option<SweepPointResult> {
         self.run_point_with(point_index, None)
     }
@@ -595,30 +557,14 @@ impl SweepGrid {
                 .collect();
             let master = self.master_seed;
             let total_cells = cells.len();
-            let retries = self.retries;
-            // Each cell retries independently with its own (identical)
-            // seed; the merge below takes the max attempt count over a
-            // point's cells so both execution paths report the same
-            // `attempts` for a deterministic workload.
             let reports = parallel_map_with_progress(
                 workers,
                 cells,
                 |_, (idx, template, n, rep)| {
-                    let mut attempts: u32 = 1;
-                    loop {
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            timed_cell(template, n, master, idx as u64, rep)
-                        }));
-                        match caught {
-                            Ok(report) => return (Ok(report), attempts),
-                            Err(payload) => {
-                                if attempts > retries {
-                                    return (Err(panic_reason(payload)), attempts);
-                                }
-                                attempts += 1;
-                            }
-                        }
-                    }
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        timed_cell(template, n, master, idx as u64, rep)
+                    }))
+                    .map_err(panic_reason)
                 },
                 |done| self.notify(started, done, total_cells),
             );
@@ -626,33 +572,21 @@ impl SweepGrid {
                 .iter()
                 .map(|&(idx, label, _, n)| {
                     let reps = per_point_reps[idx];
-                    let mut acc = PointAccumulator::new();
-                    let mut failure = None;
-                    let mut attempts: u32 = 1;
-                    for rep in 0..reps as usize {
-                        let (outcome, cell_attempts) = &reports[offsets[idx] + rep];
-                        attempts = attempts.max(*cell_attempts);
-                        match outcome {
-                            Ok(report) => acc.merge_report(report),
-                            Err(reason) => {
-                                failure.get_or_insert_with(|| reason.clone());
-                            }
-                        }
-                    }
-                    match failure {
-                        None => {
-                            let mut point = acc.finish(label.to_string(), n, idx, reps);
-                            point.attempts = attempts;
-                            SweepPointResult::Ok(point)
-                        }
-                        Some(reason) => SweepPointResult::Failed {
+                    let cell_reports = &reports[offsets[idx]..offsets[idx] + reps as usize];
+                    // The first failing replication names the failure.
+                    if let Some(reason) = cell_reports.iter().find_map(|r| r.as_ref().err()) {
+                        return SweepPointResult::Failed {
                             config: label.to_string(),
                             n,
                             point_index: idx,
-                            reason,
-                            attempts,
-                        },
+                            reason: reason.clone(),
+                        };
                     }
+                    let mut acc = PointAccumulator::new();
+                    for report in cell_reports.iter().flatten() {
+                        acc.merge_report(report);
+                    }
+                    SweepPointResult::Ok(acc.finish(label.to_string(), n, idx, reps))
                 })
                 .collect()
         };
@@ -720,7 +654,6 @@ impl PointAccumulator {
             n,
             point_index,
             replications_run: reps,
-            attempts: 1,
             summary: ReplicationSummary {
                 collision_probability: self.collision_probability.summary(),
                 norm_throughput: self.norm_throughput.summary(),
@@ -742,11 +675,6 @@ pub struct SweepPoint {
     /// Replications actually run (less than requested under early
     /// stopping).
     pub replications_run: u64,
-    /// Execution attempts the point needed: 1 for a first-try success,
-    /// more when a transient panic was retried under a
-    /// [`SweepGrid::retries`] budget (the fan-out path reports the max
-    /// over the point's cells).
-    pub attempts: u32,
     /// Mean ± CI summaries over the replications.
     pub summary: ReplicationSummary,
 }
@@ -774,9 +702,6 @@ pub enum SweepPointResult {
         point_index: usize,
         /// The panic message of the first failing replication.
         reason: String,
-        /// Execution attempts consumed before giving up — `retries + 1`
-        /// once the [`SweepGrid::retries`] budget is exhausted.
-        attempts: u32,
     },
 }
 
@@ -816,14 +741,6 @@ impl SweepPointResult {
     /// The point's summary, if it completed.
     pub fn summary(&self) -> Option<&ReplicationSummary> {
         self.ok().map(|p| &p.summary)
-    }
-
-    /// Execution attempts the point consumed (1 = first-try success).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            SweepPointResult::Ok(p) => p.attempts,
-            SweepPointResult::Failed { attempts, .. } => *attempts,
-        }
     }
 
     /// The contained panic message, if the point failed.
@@ -1161,73 +1078,6 @@ mod tests {
             .run();
         assert!(results.point("good", 2).unwrap().ok().is_some());
         assert!(results.point("bad", 2).unwrap().failure().is_some());
-    }
-
-    #[test]
-    fn retry_budget_is_inert_on_a_clean_sweep() {
-        let grid = SweepGrid::new(53)
-            .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
-            .stations([2, 3])
-            .replications(2)
-            .workers(2);
-        let plain = grid.clone().run();
-        let retried = grid.clone().retries(3).run();
-        assert_eq!(plain, retried);
-        assert_eq!(plain.to_json(), retried.to_json());
-        for p in &retried.points {
-            assert_eq!(p.attempts(), 1);
-        }
-    }
-
-    #[test]
-    fn deterministic_panic_exhausts_retry_budget_on_both_paths() {
-        let grid = SweepGrid::new(47)
-            .config("bad", broken_sim())
-            .stations([2])
-            .replications(1)
-            .workers(1)
-            .retries(2);
-        let fanned = grid.clone().run();
-        assert_eq!(fanned.points[0].attempts(), 3);
-        assert!(fanned.points[0].failure().is_some());
-        let pointwise = grid.run_point_at(0).expect("point 0 exists");
-        assert_eq!(pointwise.attempts(), 3);
-        assert!(pointwise.failure().is_some());
-    }
-
-    #[test]
-    fn transient_panic_recovers_with_identical_bytes() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let grid = SweepGrid::new(43)
-            .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
-            .stations([2])
-            .replications(2)
-            .retries(1);
-        // An environmental (non-deterministic) fault: the first cell
-        // execution panics, every later one succeeds. Reaches the private
-        // cell hook directly because no simulation backend can be made
-        // genuinely flaky — they are deterministic by construction.
-        let remaining = AtomicU32::new(1);
-        let flaky = move |template: &Simulation, n: usize, master: u64, idx: u64, rep: u64| {
-            if remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok()
-            {
-                panic!("injected transient fault");
-            }
-            run_cell(template, n, master, idx, rep)
-        };
-        let (idx, label, template, n) = grid.grid_points()[0];
-        let recovered = grid.run_point(&flaky, idx, label, template, n);
-        let point = recovered.ok().expect("retry must recover");
-        assert_eq!(point.attempts, 2);
-        // Identical seeds on replay: everything but the attempt count is
-        // byte-identical to a first-try success.
-        let clean = grid.run_point_at(0).expect("point 0 exists");
-        let clean_point = clean.ok().expect("clean run succeeds");
-        assert_eq!(clean_point.attempts, 1);
-        assert_eq!(point.summary, clean_point.summary);
-        assert_eq!(point.replications_run, clean_point.replications_run);
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! default 1901 table — tuned for small homes — leaves throughput on the
 //! table at larger N. This example:
 //!
-//! 1. uses the analytical model to rank candidate tables per N (cheap:
-//!    one fixed-point solve each),
+//! 1. ranks the `plc-boost` default search space per N with its analytic
+//!    screen over a one-scenario saturated portfolio (cheap: one
+//!    mean-field solve per candidate),
 //! 2. validates the winner against the default table *by simulation*,
 //! 3. prints the boosted-vs-default comparison.
 //!
 //! Run with: `cargo run --release --example boosting`
 
 use plc::prelude::*;
-use plc_analysis::boost::{boost_search, BoostOptions};
+use plc_boost::screen::{rank, screen_space};
+use plc_boost::{PortfolioScenario, ScenarioKind};
 use plc_stats::table::{fmt_prob, Table};
 
 fn main() {
     let timing = MacTiming::paper_default();
+    let space = SearchSpace::default_space();
     let mut table = Table::new(vec![
         "N",
         "default S (sim)",
@@ -28,15 +31,28 @@ fn main() {
     ]);
 
     for n in [2usize, 5, 10, 20] {
-        let best = boost_search(n, &timing, &BoostOptions::default())
-            .into_iter()
-            .next()
-            .expect("candidates");
+        // One saturated operating point: the screen's weighted
+        // throughput is then the model throughput at N itself.
+        let portfolio = Portfolio {
+            name: format!("saturated-n{n}"),
+            scenarios: vec![PortfolioScenario {
+                name: "saturated".to_string(),
+                kind: ScenarioKind::Saturated,
+                stations: vec![n],
+                weight: 1.0,
+            }],
+        };
+        let scores = screen_space(&space, &portfolio, &timing, None).expect("screen solves");
+        let top = rank(&scores)[0];
+        let best = space
+            .candidate(&top.label)
+            .and_then(|c| c.config().ok())
+            .expect("ranked labels name valid candidates");
 
         let horizon = 2.0e7;
         let default_sim = Simulation::ieee1901(n).horizon_us(horizon).seed(9).run();
         let boosted_sim = Simulation::ieee1901(n)
-            .config(best.config.clone())
+            .config(best.clone())
             .horizon_us(horizon)
             .seed(9)
             .run();
@@ -47,11 +63,10 @@ fn main() {
             fmt_prob(default_sim.norm_throughput),
             fmt_prob(boosted_sim.norm_throughput),
             format!("{:+.1}%", 100.0 * gain),
-            format!("{:?}", best.config.cw_vector()),
+            format!("{:?}", best.cw_vector()),
             format!(
                 "{:?}",
-                best.config
-                    .dc_vector()
+                best.dc_vector()
                     .iter()
                     .map(|&d| if d == DC_DISABLED {
                         "-".to_string()
