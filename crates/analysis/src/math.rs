@@ -55,10 +55,17 @@ impl BinomialCdfTracker {
         let d = self.pmf.len() - 1;
         // CDF update uses the pre-step pmf at k = d.
         self.cdf -= self.p * self.pmf[d];
-        // pmf update, in place from the top down.
-        for k in (0..=d).rev() {
-            let from_below = if k > 0 { self.pmf[k - 1] } else { 0.0 };
-            self.pmf[k] = (1.0 - self.p) * self.pmf[k] + self.p * from_below;
+        // pmf update, in place from the bottom up: `below` carries the
+        // pre-step pmf[k − 1]. No loop-carried arithmetic and a hoisted
+        // 1 − p let LLVM vectorize it; each element is the same
+        // `(1 − p)·pmf[k] + p·pmf[k − 1]`, in that operand order and
+        // without a fused multiply-add, so every bit is kept.
+        let (p, q) = (self.p, 1.0 - self.p);
+        let mut below = 0.0;
+        for x in &mut self.pmf {
+            let here = *x;
+            *x = q * here + p * below;
+            below = here;
         }
         self.b += 1;
     }

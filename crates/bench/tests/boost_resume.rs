@@ -2,7 +2,8 @@
 //! (`experiments boost`): the search must produce a non-empty Pareto
 //! front, the `pareto.json` artifact must be byte-identical for any
 //! worker count, and a SIGKILL mid-search must be survivable —
-//! `experiments boost resume` replays to the identical artifact.
+//! `experiments boost resume` replays to the identical artifact. The
+//! default search's artifact and rung results are pinned byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -191,5 +192,40 @@ fn boost_run_refuses_an_existing_search_and_mismatched_resume() {
     let out = run_boost(&args);
     assert!(!out.status.success(), "mismatched resume must be refused");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// 64-bit FNV-1a, the hash the `plc-sim` topology pins use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 1_469_598_103_934_665_603;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(1_099_511_628_211);
+    }
+    h
+}
+
+#[test]
+fn default_search_writes_the_pinned_bytes() {
+    // The default search (default space and portfolio, seed 42, two
+    // rungs) writes these bytes at any worker count. A speed-up must
+    // leave them alone; a change that means to move results re-blesses
+    // the table once and says why.
+    const PINS: [(&str, usize, u64); 7] = [
+        ("pareto.json", 2182, 13103115284686103657),
+        ("rung1/cells/results.json", 8187, 13938926772869100144),
+        ("rung1/poisson/results.json", 8198, 17898217090165293127),
+        ("rung1/saturated/results.json", 24389, 4116656920178105540),
+        ("rung2/cells/results.json", 5068, 11914924262147351717),
+        ("rung2/poisson/results.json", 5076, 14529356963443759762),
+        ("rung2/saturated/results.json", 15088, 4668015067284014320),
+    ];
+    let dir = temp_dir("pinned");
+    let out = run_boost(&["run", "--dir", dir.to_str().unwrap()].map(String::from));
+    assert!(out.status.success(), "default search failed: {out:?}");
+    for (file, len, hash) in PINS {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, hash), "{file}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

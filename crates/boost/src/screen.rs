@@ -5,14 +5,15 @@
 //! ([`plc_analysis::screen_schedule_p99`] — the same math behind
 //! `Backend::MeanField`, with the delay walk stopped at the p99 the
 //! screen reads) at every portfolio operating point. One solve costs
-//! ≈0.28 ms — ≈0.23 ms fixed point, ≈0.05 ms delay walk, against
-//! ≈0.17 ms for the full walk of `screen_schedule` — and each
-//! distinct (candidate, contention-domain size) is solved once, on the
-//! run's worker pool: the default space's 275 points are 220 solves
-//! (`cells` contends in cells of 5, like `saturated` N = 5), screened
-//! in ≈0.03 s on two workers (`perfbench --trace 1` on a 2-vCPU
-//! Intel Xeon host). The expensive slotted rungs only ever see the
-//! analytic survivors. The screen is also the single source of the
+//! ≈0.23 ms — ≈0.17 ms fixed point, ≈0.06 ms delay walk, against
+//! ≈0.17 ms for the full walk of `screen_schedule` (medians of serial
+//! passes over the default solves) — and each distinct (candidate,
+//! contention-domain size) is solved once, on the run's worker pool:
+//! the default space's 275 points are 220 solves (`cells` contends in
+//! cells of 5, like `saturated` N = 5), screened in ≈0.03 s on two
+//! workers (0.027–0.035 s over eight `perfbench --trace 1` runs; both
+//! on a 2-vCPU Intel Xeon host). The expensive slotted rungs only ever
+//! see the analytic survivors. The screen is also the single source of the
 //! **p99 access-delay objective** for every candidate (including the
 //! baseline): the slotted confirm rungs settle throughput and fairness,
 //! the DTMC settles the delay tail, deterministically.

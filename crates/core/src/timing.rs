@@ -145,6 +145,10 @@ impl MacTiming {
     /// contention: the burst amortizes the contention overhead over `n`
     /// MPDUs, each separated by RIFS+SACK (1901 bursts are individually
     /// acknowledged when SACK is in use).
+    ///
+    /// Inlinable across crates: the engine's success and collision arms
+    /// call it once per busy slot.
+    #[inline]
     pub fn burst_duration(&self, n: usize) -> Microseconds {
         assert!((1..=MAX_BURST).contains(&n), "burst size must be in 1..=4");
         // The first MPDU carries the full Ts overhead; each further MPDU

@@ -113,6 +113,14 @@ pub fn read_manifest(dir: &Path) -> Result<JobManifest> {
         .map_err(|e| Error::runtime(format!("corrupt job manifest at {}: {e}", path.display())))
 }
 
+/// Atomically write `manifest` as the manifest of the job under `dir`.
+fn write_manifest(dir: &Path, manifest: &JobManifest) -> Result<()> {
+    let mut doc = serde_json::to_string(manifest).expect("manifest serializes");
+    doc.push('\n');
+    plc_core::fs::atomic_write(dir.join(MANIFEST_FILE_NAME), doc.as_bytes())?;
+    Ok(())
+}
+
 /// A checkpointed sweep job bound to a directory.
 pub struct Job {
     grid: SweepGrid,
@@ -156,9 +164,7 @@ impl Job {
             )));
         }
         let manifest = JobManifest::from_grid(&grid, &cfg);
-        let mut doc = serde_json::to_string(&manifest).expect("manifest serializes");
-        doc.push('\n');
-        plc_core::fs::atomic_write(&manifest_path, doc.as_bytes())?;
+        write_manifest(&cfg.dir, &manifest)?;
         Ok(Job {
             grid,
             cfg,
@@ -175,8 +181,13 @@ impl Job {
     /// against `grid`, load the journal (dropping a torn tail), compact
     /// it, and skip every settled point. A mismatching grid is refused
     /// — a journal is never merged across sweeps.
+    ///
+    /// A resume under a different execution policy (`retries`,
+    /// `timeout`) rewrites the manifest's record of it, atomically and
+    /// before any point runs, so the directory says how its remaining
+    /// points settle. Under the same policy the file is left untouched.
     pub fn resume(grid: SweepGrid, cfg: JobConfig) -> Result<Job> {
-        let manifest = read_manifest(&cfg.dir)?;
+        let mut manifest = read_manifest(&cfg.dir)?;
         let rebuilt = JobManifest::from_grid(&grid, &cfg);
         if let Some(why) = manifest.mismatch(&rebuilt) {
             return Err(Error::invalid_config(format!(
@@ -184,6 +195,11 @@ impl Job {
                 cfg.dir.display(),
                 why
             )));
+        }
+        if (manifest.retries, manifest.timeout_ms) != (rebuilt.retries, rebuilt.timeout_ms) {
+            manifest.retries = rebuilt.retries;
+            manifest.timeout_ms = rebuilt.timeout_ms;
+            write_manifest(&cfg.dir, &manifest)?;
         }
         let mut settled = BTreeMap::new();
         for entry in Journal::load(&cfg.dir)? {

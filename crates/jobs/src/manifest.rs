@@ -1,14 +1,15 @@
 //! The job manifest: a versioned fingerprint of *what* is being swept.
 //!
-//! The manifest is written once, atomically, when a job directory is
-//! created, and re-validated on every resume: a journal is only ever
-//! merged into a run of the **same** grid. Determinism-relevant fields
-//! (seed, replication budget, grid shape, early-stop rule) participate in
-//! the compatibility check; execution policy (workers, retries, timeout)
-//! deliberately does not — resuming with more workers or a different
-//! watchdog must still reproduce the uninterrupted run byte for byte,
-//! because every point is a pure function of `(master_seed,
-//! point_index)`.
+//! The manifest is written atomically when a job directory is created,
+//! and re-validated on every resume: a journal is only ever merged into
+//! a run of the **same** grid. A resume under a different execution
+//! policy rewrites the policy's record (see [`JobManifest::retries`]).
+//! Determinism-relevant fields (seed, replication budget, grid shape,
+//! early-stop rule) participate in the compatibility check; execution
+//! policy (workers, retries, timeout) deliberately does not — resuming
+//! with more workers or a different watchdog must still reproduce the
+//! uninterrupted run byte for byte, because every point is a pure
+//! function of `(master_seed, point_index)`.
 
 use crate::job::JobConfig;
 use plc_sim::sweep::{EarlyStop, SweepGrid};
@@ -37,12 +38,16 @@ pub struct JobManifest {
     pub num_points: usize,
     /// The early-stopping rule, if one is set.
     pub early_stop: Option<EarlyStop>,
-    /// Job-level retry budget per point ([`JobConfig::retries`]) the job
-    /// was created with (recorded, not part of the compatibility
-    /// fingerprint).
+    /// Job-level retry budget per point ([`JobConfig::retries`]) of the
+    /// latest run: set when the job is created, and rewritten when a
+    /// resume runs under a different policy, so it names the budget the
+    /// remaining points settle under (recorded, not part of the
+    /// compatibility fingerprint). Points settled earlier keep their
+    /// attempt counts in the journal.
     pub retries: u32,
-    /// Per-point watchdog timeout in milliseconds, if armed (recorded,
-    /// not fingerprinted).
+    /// Per-point watchdog timeout in milliseconds, if armed, of the
+    /// latest run, like [`retries`](Self::retries) (recorded, not
+    /// fingerprinted).
     pub timeout_ms: Option<u64>,
     /// Name of the grid in the caller's registry, when launched through
     /// a named front end (lets `job resume` rebuild the grid without

@@ -339,3 +339,50 @@ fn journal_lines_with_a_sweep_attempts_field_resume_byte_identical() {
     std::fs::remove_dir_all(&fresh_dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn resume_records_the_policy_it_runs_under() {
+    let dir = temp_dir("policy");
+    let mut cfg = JobConfig::new(&dir);
+    cfg.points = Some(vec![0]);
+    let first = Job::create(small_grid(), cfg).unwrap().run().unwrap();
+    assert_eq!(first.executed, 1);
+    let created = plc_jobs::read_manifest(&dir).unwrap();
+    assert_eq!((created.retries, created.timeout_ms), (0, None));
+
+    // The remaining points settle under a new budget and watchdog: the
+    // manifest must say so before any of them runs.
+    let mut cfg = JobConfig::new(&dir);
+    cfg.retries = 3;
+    cfg.timeout = Some(std::time::Duration::from_millis(5000));
+    let job = Job::resume(small_grid(), cfg).unwrap();
+    let on_disk = plc_jobs::read_manifest(&dir).unwrap();
+    assert_eq!((on_disk.retries, on_disk.timeout_ms), (3, Some(5000)));
+    assert_eq!(job.manifest(), &on_disk);
+    // Nothing else in the record moves.
+    assert_eq!(
+        plc_jobs::JobManifest {
+            retries: 0,
+            timeout_ms: None,
+            ..on_disk
+        },
+        created
+    );
+    let report = job.run().unwrap();
+    assert!(report.is_complete());
+
+    // A resume under the same policy leaves the file's bytes alone.
+    let path = dir.join(plc_jobs::MANIFEST_FILE_NAME);
+    let bytes = std::fs::read(&path).unwrap();
+    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+    let mut cfg = JobConfig::new(&dir);
+    cfg.retries = 3;
+    cfg.timeout = Some(std::time::Duration::from_millis(5000));
+    drop(Job::resume(small_grid(), cfg).unwrap());
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().modified().unwrap(),
+        modified
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -53,10 +53,16 @@
 //! (`busy_slot/500`: 3.75 → 1.12 ms per 1,000 slots).
 //!
 //! Populations of at most 64 stations (one bitset word) file no transmit
-//! clocks: their transmitter set and minimum BC come from a scan of at
-//! most 64 `tx_at` values. A sparse ring (five stations at CW 8192 spread
-//! over 8,192 buckets) would cost far more to walk, and 64 KB per engine
-//! to hold.
+//! clocks. A sparse ring (five stations at CW 8192 spread over 8,192
+//! buckets) would cost far more to walk, and 64 KB per engine to hold.
+//! They cache instead the earliest `tx_at` (`next_at`) and the bitset of
+//! the stations due at it (`next_mask`). Only a busy slot (and `new`)
+//! changes a `tx_at`, and it ends with one branch-free pass over at most
+//! 64 of them that refreshes both; idle slots and jumps move `slot`
+//! alone. So the transmitter set is `next_mask` once `slot == next_at`
+//! and empty before, the minimum BC is `next_at − slot`, and a jump
+//! clamped short of it (at the horizon, a beacon or a noise edge) needs
+//! no scan: every BC stays positive and the minimum drops by the jump.
 //!
 //! A population whose rings would exceed [`RING_BYTES_MAX`] (wide
 //! windows × many stations, e.g. N > 960 with a CW-8192 stage) stays on
@@ -106,7 +112,8 @@
 //! *inside* the sweeps (`TRACK = true`). In the packed layout stations
 //! whose BC is final fold inline, redrawn stations fold as their draw
 //! lands, and the two ascending zero sets merge with one ordered pass;
-//! the event layout reads the set off the next transmit bucket.
+//! the event layout reads the set off the next transmit bucket, or off
+//! the cached due set of a one-word population.
 
 use crate::trace::StationId;
 use plc_core::config::DC_DISABLED;
@@ -188,8 +195,8 @@ struct EventLayout {
     /// Bitset words per bucket: ⌈N/64⌉.
     words: usize,
     /// Transmit ring: bucket `t mod R_tx` holds the stations with
-    /// `tx_at == t`. Empty for one-word populations, whose transmit
-    /// clocks are scanned instead.
+    /// `tx_at == t`. Empty for one-word populations, which cache their
+    /// earliest transmit clock instead (`next_at`, `next_mask`).
     tx_ring: Vec<u64>,
     /// `R_tx − 1`.
     tx_mask: u64,
@@ -198,6 +205,12 @@ struct EventLayout {
     dc_ring: Vec<u64>,
     /// `R_dc − 1`.
     dc_mask: u64,
+    /// One-word populations only: the earliest `tx_at`, so the minimum
+    /// BC is `next_at − slot`.
+    next_at: u64,
+    /// One-word populations only: the stations whose `tx_at` is
+    /// `next_at`, the transmit set once `slot` reaches it.
+    next_mask: u64,
 }
 
 impl EventLayout {
@@ -238,6 +251,8 @@ impl EventLayout {
             tx_mask: tx_buckets as u64 - 1,
             dc_ring: vec![0; dc_buckets * words],
             dc_mask: dc_buckets as u64 - 1,
+            next_at: 0,
+            next_mask: 0,
         };
         for i in 0..bcdc.len() {
             if words > 1 {
@@ -249,7 +264,38 @@ impl EventLayout {
                 ev.dc_ring[w] |= bit(i);
             }
         }
+        if words == 1 {
+            ev.refresh_next();
+        }
         Some(ev)
+    }
+
+    /// Recompute `next_at` and `next_mask` of a one-word population in
+    /// one branch-free pass over `tx_at`. Only `new` and `busy_slot`
+    /// change `tx_at`, and both end here; idle slots and jumps move
+    /// `slot` alone, which the cache reads relative to.
+    #[inline]
+    fn refresh_next(&mut self) {
+        let (mut at, mut mask) = (u64::MAX, 0u64);
+        for (i, &t) in self.tx_at.iter().enumerate() {
+            // A strictly earlier clock starts the set afresh; an equal
+            // one joins it.
+            mask &= ((t < at) as u64).wrapping_sub(1);
+            mask |= ((t <= at) as u64) << i;
+            at = at.min(t);
+        }
+        self.next_at = at;
+        self.next_mask = mask;
+    }
+
+    /// The one-word transmit set: the stations whose BC is 0 this slot.
+    #[inline]
+    fn due(&self) -> u64 {
+        if self.next_at == self.slot {
+            self.next_mask
+        } else {
+            0
+        }
     }
 
     /// Index of station `i`'s word in transmit bucket `t`.
@@ -274,20 +320,12 @@ impl EventLayout {
     #[inline]
     fn transmitters(&self, out: &mut Vec<StationId>) {
         if self.words == 1 {
-            for (i, &at) in self.tx_at.iter().enumerate() {
-                if at == self.slot {
-                    out.push(i);
-                }
-            }
+            push_bits(out, 0, self.due());
             return;
         }
         let base = (self.slot & self.tx_mask) as usize * self.words;
         for (w, &word) in self.tx_ring[base..base + self.words].iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+            push_bits(out, w * 64, word);
         }
     }
 
@@ -305,7 +343,7 @@ impl EventLayout {
     /// Minimum BC when no station transmits this slot (all BC > 0).
     fn min_bc(&self) -> u32 {
         let d = if self.words == 1 {
-            self.tx_at.iter().map(|&at| at - self.slot).min()
+            Some(self.next_at - self.slot)
         } else {
             (1..=self.tx_mask).find(|&d| {
                 let base = ((self.slot + d) & self.tx_mask) as usize * self.words;
@@ -323,7 +361,10 @@ impl EventLayout {
     /// `Restart`), DC reloaded, BPC incremented, one RNG word for the BC
     /// — filing the fresh clocks ahead of the advanced `slot`/`busy`.
     /// `tx` must be the transmit bucket in ascending order (the
-    /// contender set), `actions` parallel to it.
+    /// contender set), `actions` parallel to it. A one-word population
+    /// takes its transmit word from the cached due set and, once every
+    /// redraw has landed, refreshes that cache in one pass over `tx_at`:
+    /// the next slot, idle run and jump read it without a scan.
     fn busy_slot(
         &mut self,
         tx: &[StationId],
@@ -334,9 +375,11 @@ impl EventLayout {
         rng: &mut SmallRng,
     ) {
         debug_assert!(
-            self.words > 1
-                || tx.len() == self.tx_at.iter().filter(|&&at| at == self.slot).count()
-                    && tx.iter().all(|&i| self.tx_at[i] == self.slot),
+            self.words > 1 || {
+                let scan = (self.tx_at.iter().enumerate())
+                    .fold(0, |bits, (i, &at)| bits | ((at == self.slot) as u64) << i);
+                self.due() == scan && scan == tx.iter().fold(0, |bits, &i| bits | bit(i))
+            },
             "transmitters must be the stations with BC = 0"
         );
         let tx_base = (self.slot & self.tx_mask) as usize * self.words;
@@ -349,7 +392,7 @@ impl EventLayout {
             // lands in them again, after this take, so it is not
             // visited twice.
             let tx_bits = if self.words == 1 {
-                tx.iter().fold(0, |bits, &i| bits | bit(i))
+                self.due()
             } else {
                 std::mem::take(&mut self.tx_ring[tx_base + w])
             };
@@ -397,6 +440,9 @@ impl EventLayout {
         debug_assert_eq!(txi, tx.len(), "every transmitter must be in the bucket");
         self.slot = slot;
         self.busy = busy;
+        if self.words == 1 {
+            self.refresh_next();
+        }
     }
 }
 
@@ -404,6 +450,16 @@ impl EventLayout {
 #[inline]
 fn bit(i: usize) -> u64 {
     1 << (i % 64)
+}
+
+/// Append the stations of bitset word `bits`, whose bit 0 is station
+/// `base`, in ascending order.
+#[inline]
+fn push_bits(out: &mut Vec<StationId>, base: usize, mut bits: u64) {
+    while bits != 0 {
+        out.push(base + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
 }
 
 /// The struct-of-arrays contention state. See the [module docs](self).
@@ -1335,6 +1391,106 @@ mod tests {
             let mut core = core_of(&ps);
             assert!(core.events.is_some(), "N = {n}");
             mirror_slots(&mut ps, &mut core, slots, 3);
+        }
+    }
+
+    #[test]
+    fn one_word_cache_survives_clamped_jumps() {
+        // `mirror_slots` steps slot by slot; the engine also jumps. Mix
+        // busy slots with full jumps (k = min BC), jumps clamped short of
+        // it (at the horizon, a beacon or a noise edge; k = 0 is the
+        // engine's cache rebuild) and single idle slots. After every
+        // call the fused cache and the contender set must equal a fresh
+        // scan, and every counter the packed layout's, driven alike.
+        let off = [DC_DISABLED; 4];
+        let tables: [(&[u32], &[u32]); 3] = [
+            (&[8, 16, 32, 64], &[0, 1, 3, 15]),
+            (&[128, 512, 2048, 8192], &[0, 1, 3, 15]),
+            (&[16, 32, 64, 128], &off),
+        ];
+        for n in [1, 2, 5, 63, 64] {
+            for (cw, dc) in tables {
+                let ps = stations_1901(n, cw, dc, n as u64);
+                let mut core = core_of(&ps);
+                assert!(core.events.as_ref().is_some_and(|ev| ev.words == 1));
+                let mut packed = ContentionCore::try_packed(&views_of(&ps), true).unwrap();
+                let mut pick = SmallRng::seed_from_u64(n as u64 ^ cw[0] as u64);
+                let mut rng_a = SmallRng::seed_from_u64(21);
+                let mut rng_b = rng_a.clone();
+                let (mut full, mut clamped) = (0, 0);
+                for call in 0..4_000 {
+                    let at = format!("N = {n}, CW {cw:?}, call {call}");
+                    let mut tx = Vec::new();
+                    core.contenders(&mut tx);
+                    let scan: Vec<usize> = (0..n).filter(|&i| core.bc_of(i) == 0).collect();
+                    assert_eq!(tx, scan, "{at}: contenders");
+                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
+                    let (mut zero_p, mut min_p) = (Vec::new(), u32::MAX);
+                    match tx.len() {
+                        0 => {
+                            let min_bc = (0..n).map(|i| core.bc_of(i)).min().unwrap();
+                            match pick.next_u32() % 3 {
+                                0 => {
+                                    full += 1;
+                                    core.skip_idle(min_bc, &mut zero, &mut min);
+                                    packed.skip_idle(min_bc, &mut zero_p, &mut min_p);
+                                }
+                                1 => {
+                                    let k = pick.next_u32() % min_bc;
+                                    clamped += (k > 0) as usize;
+                                    core.skip_idle(k, &mut zero, &mut min);
+                                    packed.skip_idle(k, &mut zero_p, &mut min_p);
+                                }
+                                _ => {
+                                    core.idle_sweep::<true>(&mut zero, &mut min);
+                                    packed.idle_sweep::<true>(&mut zero_p, &mut min_p);
+                                }
+                            }
+                        }
+                        1 => {
+                            core.success_sweep::<true>(tx[0], &mut rng_a, &mut zero, &mut min);
+                            packed.success_sweep::<true>(
+                                tx[0],
+                                &mut rng_b,
+                                &mut zero_p,
+                                &mut min_p,
+                            );
+                        }
+                        _ => {
+                            let actions: Vec<SweepAction> = tx
+                                .iter()
+                                .map(|&i| match (i + call) % 3 {
+                                    0 => SweepAction::Restart,
+                                    _ => SweepAction::Advance,
+                                })
+                                .collect();
+                            core.collision_sweep::<true>(
+                                &tx, &actions, &mut rng_a, &mut zero, &mut min,
+                            );
+                            packed.collision_sweep::<true>(
+                                &tx,
+                                &actions,
+                                &mut rng_b,
+                                &mut zero_p,
+                                &mut min_p,
+                            );
+                        }
+                    }
+                    assert_cache(&core, &zero, min, call);
+                    assert_eq!(zero, zero_p, "{at}: zero set against the packed layout");
+                    let mut next = Vec::new();
+                    core.contenders(&mut next);
+                    assert_eq!(next, zero, "{at}: contenders after the call");
+                    for i in 0..n {
+                        assert_eq!(core.snapshot(i), packed.snapshot(i), "{at}: station {i}");
+                    }
+                    assert_eq!(rng_a, rng_b, "{at}: RNG streams");
+                }
+                assert!(
+                    full > 0 && clamped > 0,
+                    "N = {n}, CW {cw:?}: {full} full and {clamped} clamped jumps"
+                );
+            }
         }
     }
 

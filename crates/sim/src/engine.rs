@@ -561,15 +561,11 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         self.stations.len()
     }
 
-    /// Sample how many of station `i`'s `pbs` physical blocks error on the
-    /// channel (per-station override, else the global probability).
-    fn sample_pb_errors(&mut self, station: StationId, pbs: u16) -> u16 {
-        let p = self.stations[station]
-            .pb_error_prob
-            .unwrap_or(self.cfg.pb_error_prob);
-        if p == 0.0 {
-            return 0;
-        }
+    /// Sample how many of `pbs` physical blocks error on a channel whose
+    /// PB error probability `p` is positive (the success arm answers
+    /// `p = 0` itself, without a draw).
+    fn sample_pb_errors(&mut self, p: f64, pbs: u16) -> u16 {
+        debug_assert!(p > 0.0, "an error-free channel draws nothing");
         let _draw_span = self.timers.as_ref().map(|t| t.pb_draw.start());
         let mut errored = 0u16;
         for _ in 0..pbs {
@@ -625,10 +621,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// jump is clamped at the horizon, the next beacon, the next traffic
     /// arrival/phase event (where `advance_to` would mutate state) and
     /// the next noise-burst edge (belt and braces — idle slots never
-    /// sample the noise schedule). Time, `idle_slots` and `time_idle`
-    /// advance by per-slot `+=` in the original order, so the f64
-    /// accumulations — and any emitted `IdleSlot` events — are
-    /// bit-identical to the stepping path.
+    /// sample the noise schedule). Time and `time_idle` advance by
+    /// per-slot `+=` in the original order, so the f64 accumulations —
+    /// and any emitted `IdleSlot` events — are bit-identical to the
+    /// stepping path.
     fn fast_forward_idle(&mut self) -> u64 {
         let k = if self.hint_valid {
             // The previous step's mutation loops already folded every
@@ -673,20 +669,25 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         let next_beacon = self.next_beacon.as_micros();
         let next_event = self.next_noise_edge().min(self.next_traffic_event);
         let emitting = !self.sinks.is_empty();
+        // The two f64 accumulators live in registers for the run; each
+        // still takes one `+= slot` per absorbed slot, in order.
+        let (mut t, mut time_idle) = (self.t, self.metrics.time_idle);
         let mut skipped: u64 = 0;
         while skipped < k as u64 {
-            let t0 = self.t.as_micros();
+            let t0 = t.as_micros();
             if t0 > horizon || t0 >= next_beacon || t0 >= next_event {
                 break;
             }
             if emitting {
-                self.emit(TraceEvent::IdleSlot { t: self.t });
+                emit_to(&self.sinks, &TraceEvent::IdleSlot { t });
             }
-            self.t += slot;
-            self.metrics.idle_slots += 1;
-            self.metrics.time_idle += slot;
+            t += slot;
+            time_idle += slot;
             skipped += 1;
         }
+        self.t = t;
+        self.metrics.time_idle = time_idle;
+        self.metrics.idle_slots += skipped;
         if skipped > 0 {
             // Consume the absorbed slots and refresh the hint in the same
             // pass: every backlogged BC just dropped by `skipped`.
@@ -962,6 +963,11 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 // consuming channel-RNG draws (the fault layer never
                 // touches simulation streams).
                 let jammed = self.noise_active(t0);
+                // The winner's PB error probability: its per-link
+                // override, else the global one.
+                let p_err = self.stations[w]
+                    .pb_error_prob
+                    .unwrap_or(self.cfg.pb_error_prob);
 
                 // Per-MPDU channel outcome (selective-ACK granularity).
                 let mut fresh_consumed = 0usize;
@@ -978,8 +984,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     };
                     let errored = if jammed {
                         pbs
+                    } else if p_err == 0.0 {
+                        0
                     } else {
-                        self.sample_pb_errors(w, pbs)
+                        self.sample_pb_errors(p_err, pbs)
                     };
                     outcomes.push((pbs, errored));
                     let s = &mut self.metrics.per_station[w];
