@@ -59,23 +59,9 @@ pub fn class_collision_curves(opts: &RunOpts) -> Vec<(usize, f64, f64, f64, f64)
         .collect()
 }
 
-/// Render the experiment.
-pub fn run(opts: &RunOpts) -> Result<String> {
-    let span = opts.obs.timer("exp.priorities.curves").start();
-    let mut t = Table::new(vec!["N", "CA1 sim", "CA1 model", "CA3 sim", "CA3 model"]);
-    for (n, s01, m01, s23, m23) in class_collision_curves(opts) {
-        t.row(vec![
-            n.to_string(),
-            fmt_prob(s01),
-            fmt_prob(m01),
-            fmt_prob(s23),
-            fmt_prob(m23),
-        ]);
-    }
-
-    drop(span);
-    let _cross = opts.obs.timer("exp.priorities.cross_class").start();
-    // Cross-class scenario: 2×CA1 saturated + 1×CA2 light.
+/// Cross-class scenario: 2×CA1 saturated + 1×CA2 Poisson(100 frames/s),
+/// returning the (CA1, CA2) success counts.
+pub fn cross_class_successes(opts: &RunOpts) -> (u64, u64) {
     let mut rng = SmallRng::seed_from_u64(5);
     let stations = vec![
         ClassStationSpec::new(
@@ -104,6 +90,26 @@ pub fn run(opts: &RunOpts) -> Result<String> {
     let mut e = MultiClassEngine::new(cfg, stations, 5);
     e.run();
     let by_class = e.successes_by_class();
+    (by_class[1], by_class[2])
+}
+
+/// Render the experiment.
+pub fn run(opts: &RunOpts) -> Result<String> {
+    let span = opts.obs.timer("exp.priorities.curves").start();
+    let mut t = Table::new(vec!["N", "CA1 sim", "CA1 model", "CA3 sim", "CA3 model"]);
+    for (n, s01, m01, s23, m23) in class_collision_curves(opts) {
+        t.row(vec![
+            n.to_string(),
+            fmt_prob(s01),
+            fmt_prob(m01),
+            fmt_prob(s23),
+            fmt_prob(m23),
+        ]);
+    }
+
+    drop(span);
+    let _cross = opts.obs.timer("exp.priorities.cross_class").start();
+    let (ca1, ca2) = cross_class_successes(opts);
 
     Ok(format!(
         "E2 — priority classes (Table 1 columns) under explicit priority resolution\n\n\
@@ -114,14 +120,38 @@ pub fn run(opts: &RunOpts) -> Result<String> {
          CA1 successes = {}, CA2 successes = {} — light high-priority traffic\n\
          preempts per-frame but barely dents CA1 throughput.\n",
         t.render(),
-        by_class[1],
-        by_class[2],
+        ca1,
+        ca2,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn smoke_output_is_pinned() {
+        // Every simulated column of E2 at smoke horizons, bit for bit:
+        // (N, CA1 sim, CA3 sim) as `f64::to_bits`, then the cross-class
+        // (CA1, CA2) success counts.
+        const CURVES: [(usize, u64, u64); 7] = [
+            (1, 0, 0),
+            (2, 4590315996666139668, 4591215111030249286),
+            (3, 4594640748951643875, 4595840019738491714),
+            (4, 4596284819701688800, 4598652071270527410),
+            (5, 4596857092825070417, 4598334170120360081),
+            (6, 4594153136859197105, 4600956130790592624),
+            (7, 4598361759174812472, 4599472866895535711),
+        ];
+        const CROSS: (u64, u64) = (105, 39);
+        let opts = RunOpts::smoke();
+        let got: Vec<(usize, u64, u64)> = class_collision_curves(&opts)
+            .into_iter()
+            .map(|(n, s01, _, s23, _)| (n, s01.to_bits(), s23.to_bits()))
+            .collect();
+        assert_eq!(got, CURVES, "E2 class curves moved");
+        assert_eq!(cross_class_successes(&opts), CROSS, "E2 cross-class moved");
+    }
 
     #[test]
     fn ca23_collides_more_at_every_n() {
