@@ -1,11 +1,12 @@
-//! E2 — the CA0–CA3 priority classes (Table 1's two columns) under the
-//! explicit priority-resolution engine.
+//! E2 — the CA0–CA3 priority classes (Table 1's two columns) on the
+//! slotted engine, whose priority resolution decides between classes.
 //!
-//! Two questions the multi-class engine answers:
+//! Two questions:
 //!
 //! 1. *within-class performance*: the CA2/CA3 table caps CW at 32, so at
 //!    larger N the delay-sensitive table collides more than CA0/CA1 —
-//!    the cost of bounded access delay;
+//!    the cost of bounded access delay. One class never resolves, so
+//!    these curves are plain single-class runs;
 //! 2. *cross-class precedence*: strict starvation under saturation, and
 //!    near-zero impact of light high-priority traffic (the paper's MME
 //!    background).
@@ -17,36 +18,26 @@ use plc_core::error::Result;
 use plc_core::priority::Priority;
 use plc_core::units::Microseconds;
 use plc_mac::Backoff1901;
-use plc_sim::multiclass::{ClassStationSpec, MultiClassConfig, MultiClassEngine};
-use plc_sim::TrafficModel;
+use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
+use plc_sim::{Simulation, TrafficModel};
 use plc_stats::table::{fmt_prob, Table};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Collision probability of N same-class saturated stations, per class
-/// table, simulated with explicit PRS plus predicted by the model.
+/// table, simulated plus predicted by the model.
 pub fn class_collision_curves(opts: &RunOpts) -> Vec<(usize, f64, f64, f64, f64)> {
     let ca01 = CoupledModel::new(CsmaConfig::ieee1901_ca01());
     let ca23 = CoupledModel::new(CsmaConfig::ieee1901_ca23());
     (1..=7usize)
         .map(|n| {
             let sim = |prio: Priority, seed: u64| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let stations: Vec<_> = (0..n)
-                    .map(|_| {
-                        ClassStationSpec::new(
-                            Backoff1901::new(CsmaConfig::ieee1901_for(prio), &mut rng),
-                            prio,
-                            TrafficModel::Saturated,
-                        )
-                    })
-                    .collect();
-                let cfg = MultiClassConfig {
-                    horizon: Microseconds::new(opts.horizon_us()),
-                    ..Default::default()
-                };
-                let mut e = MultiClassEngine::new(cfg, stations, seed);
-                e.run().collision_probability()
+                Simulation::ieee1901(n)
+                    .config(CsmaConfig::ieee1901_for(prio))
+                    .horizon_us(opts.horizon_us())
+                    .seed(seed)
+                    .run()
+                    .collision_probability
             };
             (
                 n,
@@ -63,34 +54,28 @@ pub fn class_collision_curves(opts: &RunOpts) -> Vec<(usize, f64, f64, f64, f64)
 /// returning the (CA1, CA2) success counts.
 pub fn cross_class_successes(opts: &RunOpts) -> (u64, u64) {
     let mut rng = SmallRng::seed_from_u64(5);
+    let ca1 = |rng: &mut SmallRng| {
+        StationSpec::saturated(Backoff1901::new(CsmaConfig::ieee1901_ca01(), rng))
+    };
     let stations = vec![
-        ClassStationSpec::new(
-            Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut rng),
-            Priority::CA1,
-            TrafficModel::Saturated,
-        ),
-        ClassStationSpec::new(
-            Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut rng),
-            Priority::CA1,
-            TrafficModel::Saturated,
-        ),
-        ClassStationSpec::new(
-            Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng),
-            Priority::CA2,
-            TrafficModel::Poisson {
+        ca1(&mut rng),
+        ca1(&mut rng),
+        StationSpec {
+            priority: Priority::CA2,
+            traffic: TrafficModel::Poisson {
                 rate_per_us: 1e-4,
                 queue_cap: 32,
             },
-        ),
+            ..StationSpec::saturated(Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng))
+        },
     ];
-    let cfg = MultiClassConfig {
-        horizon: Microseconds::new(opts.horizon_us()),
-        ..Default::default()
-    };
-    let mut e = MultiClassEngine::new(cfg, stations, 5);
-    e.run();
-    let by_class = e.successes_by_class();
-    (by_class[1], by_class[2])
+    let cfg = EngineConfig::with_horizon(Microseconds::new(opts.horizon_us()));
+    let mut e = SlottedEngine::new(cfg, stations, 5);
+    let per_station = &e.run().per_station;
+    (
+        per_station[0].successes + per_station[1].successes,
+        per_station[2].successes,
+    )
 }
 
 /// Render the experiment.
@@ -112,7 +97,7 @@ pub fn run(opts: &RunOpts) -> Result<String> {
     let (ca1, ca2) = cross_class_successes(opts);
 
     Ok(format!(
-        "E2 — priority classes (Table 1 columns) under explicit priority resolution\n\n\
+        "E2 — priority classes (Table 1 columns) under priority resolution\n\n\
          Per-class collision probability, N same-class saturated stations:\n\n{}\n\
          The CA2/CA3 table (CW capped at 32) collides more at large N — bounded\n\
          windows buy bounded access delay at the cost of collisions.\n\n\
@@ -136,14 +121,14 @@ mod tests {
         // (CA1, CA2) success counts.
         const CURVES: [(usize, u64, u64); 7] = [
             (1, 0, 0),
-            (2, 4590315996666139668, 4591215111030249286),
-            (3, 4594640748951643875, 4595840019738491714),
-            (4, 4596284819701688800, 4598652071270527410),
-            (5, 4596857092825070417, 4598334170120360081),
-            (6, 4594153136859197105, 4600956130790592624),
-            (7, 4598361759174812472, 4599472866895535711),
+            (2, 4589283497204057744, 4591049270767791454),
+            (3, 4595758653891565418, 4595462207721559250),
+            (4, 4596934707073066579, 4596963724908673826),
+            (5, 4597055981768060080, 4598406833240398327),
+            (6, 4596842793620018873, 4599643784641158099),
+            (7, 4596459562544373370, 4599511452401748981),
         ];
-        const CROSS: (u64, u64) = (105, 39);
+        const CROSS: (u64, u64) = (100, 45);
         let opts = RunOpts::smoke();
         let got: Vec<(usize, u64, u64)> = class_collision_curves(&opts)
             .into_iter()

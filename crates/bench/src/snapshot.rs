@@ -373,7 +373,7 @@ fn job_overhead_grid(scale: f64, registry: Option<&Registry>) -> plc_sim::SweepG
 /// `bench-snapshot --job-overhead` CI gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOverhead {
-    /// Best-of-`rounds` wall seconds for the plain [`SweepGrid`] run.
+    /// Best-of-`rounds` wall seconds for the plain [`SweepGrid`](sweep::SweepGrid) run.
     pub plain_secs: f64,
     /// Best-of-`rounds` wall seconds for the same grid under
     /// [`plc_jobs::Job`] (manifest + journal + atomic results).

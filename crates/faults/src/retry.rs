@@ -3,7 +3,7 @@
 //! The resilient tool clients (`ampstat`/`faifa` over a lossy bus) retry
 //! timed-out transactions. Real clients jitter their backoff to avoid
 //! synchronizing; ours jitter *deterministically* from a dedicated
-//! [`FaultRng`](crate::FaultRng) stream, so the retry schedule — and
+//! [`FaultRng`] stream, so the retry schedule — and
 //! every observable counter derived from it — replays byte for byte.
 
 use crate::rng::FaultRng;

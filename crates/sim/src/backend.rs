@@ -171,7 +171,6 @@ pub(crate) fn meanfield_report(
         time_idle: Microseconds(time_idle),
         time_success: Microseconds(time_success),
         time_collision: Microseconds(time_collision),
-        time_prs: Microseconds(0.0),
         beacons: 0,
         time_beacon: Microseconds(0.0),
         mpdus_ok: successes,
@@ -239,7 +238,7 @@ mod tests {
         assert!((m.collision_probability() - r.collision_probability).abs() < 0.01);
         assert!((m.norm_throughput(timing.frame_length) - r.norm_throughput).abs() < 0.01);
         // Airtime accounting covers the whole synthesized elapsed time.
-        let (i, s, c, _) = m.airtime_shares();
+        let (i, s, c) = m.airtime_shares();
         assert!((i + s + c - 1.0).abs() < 1e-9);
     }
 

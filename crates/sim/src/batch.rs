@@ -15,7 +15,7 @@
 //!   scheduler does (provided the work function is deterministic in
 //!   `(index, item)`).
 //! * **One registry** — every work item receives the attached
-//!   [`Registry`](plc_obs::Registry) itself and records straight into
+//!   [`Registry`] itself and records straight into
 //!   it from its worker. Counters and span-timer counts are exact sums
 //!   for any worker count (timer durations are wall clock, never
 //!   deterministic). A histogram or gauge value recorded inside a work

@@ -73,7 +73,8 @@
 //!
 //! # Packed layout (everything else)
 //!
-//! Dynamic backlog (Poisson, on/off), DCF and multi-class populations
+//! Dynamic backlog (Poisson, on/off), DCF, multi-table and mixed-priority
+//! populations (whose resolution rounds clear the losers' backlog flags)
 //! keep BC and DC packed into one `u32` per station (`bcdc`: BC in the
 //! low 16 bits, DC in the high 16, with `0xFFFF` as the disabled-DC
 //! sentinel) and sweep every backlogged station on each slot. A

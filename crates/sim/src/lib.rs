@@ -9,10 +9,10 @@
 //!   dynamics plus traffic models, MPDU bursting, retry policies, trace
 //!   sinks and per-station metrics. Generic over
 //!   [`plc_mac::BackoffProcess`], so IEEE 1901 and 802.11 DCF contend under
-//!   identical conditions. An integration test pins the two engines to
-//!   each other statistically.
-//! * [`multiclass::MultiClassEngine`] — adds explicit priority-resolution
-//!   phases for CA0–CA3 interaction studies.
+//!   identical conditions. When the stations' priorities differ it runs
+//!   the standard's priority resolution, so CA0–CA3 interactions run on
+//!   the same engine. An integration test pins the two engines to each
+//!   other statistically.
 //!
 //! Plus one analytic stand-in: [`backend::Backend::MeanField`] swaps the
 //! event loop for a `plc_analysis` mean-field fixed-point solve that
@@ -44,7 +44,6 @@ pub(crate) mod contention;
 pub mod engine;
 pub mod export;
 pub mod metrics;
-pub mod multiclass;
 pub mod multidomain;
 pub mod paper;
 pub mod runner;

@@ -80,8 +80,6 @@ pub struct Metrics {
     pub time_success: Microseconds,
     /// Time spent in collisions.
     pub time_collision: Microseconds,
-    /// Time spent in priority-resolution phases (multi-class engine).
-    pub time_prs: Microseconds,
     /// Beacons transmitted by the coordinator.
     pub beacons: u64,
     /// Time spent in beacon transmissions.
@@ -172,18 +170,18 @@ impl Metrics {
         jain_index(&alloc)
     }
 
-    /// Fraction of wall-clock spent idle / in success / in collision / in
-    /// PRS. Sums to ~1 (up to the final partial event and beacon time).
-    pub fn airtime_shares(&self) -> (f64, f64, f64, f64) {
+    /// Fraction of simulated time spent idle / in success / in collision.
+    /// Sums to 1 up to beacon time; priority resolution charges no
+    /// airtime of its own (its two slots sit inside `Ts` and `Tc`).
+    pub fn airtime_shares(&self) -> (f64, f64, f64) {
         let t = self.elapsed.as_micros();
         if t == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
+            return (0.0, 0.0, 0.0);
         }
         (
             self.time_idle.as_micros() / t,
             self.time_success.as_micros() / t,
             self.time_collision.as_micros() / t,
-            self.time_prs.as_micros() / t,
         )
     }
 
@@ -217,7 +215,6 @@ impl Metrics {
         self.time_idle += cell.time_idle;
         self.time_success += cell.time_success;
         self.time_collision += cell.time_collision;
-        self.time_prs += cell.time_prs;
         self.beacons += cell.beacons;
         self.time_beacon += cell.time_beacon;
         self.mpdus_ok += cell.mpdus_ok;
@@ -267,7 +264,7 @@ mod tests {
         assert_eq!(m.collision_probability(), 0.0);
         assert_eq!(m.mpdu_collision_probability(), 0.0);
         assert_eq!(m.norm_throughput(Microseconds(2050.0)), 0.0);
-        assert_eq!(m.airtime_shares(), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(m.airtime_shares(), (0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -343,11 +340,10 @@ mod tests {
         let mut m = Metrics::new(1);
         m.time_idle = Microseconds(300.0);
         m.time_success = Microseconds(500.0);
-        m.time_collision = Microseconds(150.0);
-        m.time_prs = Microseconds(50.0);
+        m.time_collision = Microseconds(200.0);
         m.elapsed = Microseconds(1000.0);
-        let (i, s, c, p) = m.airtime_shares();
-        assert!((i + s + c + p - 1.0).abs() < 1e-12);
+        let (i, s, c) = m.airtime_shares();
+        assert!((i + s + c - 1.0).abs() < 1e-12);
         assert_eq!(s, 0.5);
     }
 }

@@ -340,10 +340,7 @@ fn remap_station_ids(events: &mut [TraceEvent], members: &[usize]) {
                     *s = members[*s];
                 }
             }
-            TraceEvent::IdleSlot { .. }
-            | TraceEvent::Beacon { .. }
-            | TraceEvent::PriorityResolution { .. }
-            | TraceEvent::Sack { .. } => {}
+            TraceEvent::IdleSlot { .. } | TraceEvent::Beacon { .. } | TraceEvent::Sack { .. } => {}
         }
     }
 }

@@ -13,7 +13,6 @@
 //!   (Figure 1's two-station table is generated from it).
 
 use plc_core::frame::{SelectiveAck, SofDelimiter};
-use plc_core::priority::Priority;
 use plc_core::units::Microseconds;
 use plc_mac::process::BackoffSnapshot;
 use serde::{Deserialize, Serialize};
@@ -36,13 +35,6 @@ pub enum TraceEvent {
     Beacon {
         /// Beacon transmission time.
         t: Microseconds,
-    },
-    /// A priority-resolution phase completed (multi-class engine only).
-    PriorityResolution {
-        /// Phase start time.
-        t: Microseconds,
-        /// The class that won the two PRS slots.
-        winner: Priority,
     },
     /// A start-of-frame delimiter went on the wire. Emitted for *every*
     /// MPDU — including each MPDU of a burst and the delimiters of
@@ -105,7 +97,6 @@ impl TraceEvent {
         match self {
             TraceEvent::IdleSlot { t }
             | TraceEvent::Beacon { t }
-            | TraceEvent::PriorityResolution { t, .. }
             | TraceEvent::Sof { t, .. }
             | TraceEvent::Sack { t, .. }
             | TraceEvent::Success { t, .. }
@@ -215,9 +206,7 @@ impl TraceSink for CountingSink {
             TraceEvent::Success { .. } => self.successes += 1,
             TraceEvent::Collision { .. } => self.collisions += 1,
             TraceEvent::FrameDropped { .. } => self.drops += 1,
-            TraceEvent::Beacon { .. }
-            | TraceEvent::PriorityResolution { .. }
-            | TraceEvent::Snapshot { .. } => {}
+            TraceEvent::Beacon { .. } | TraceEvent::Snapshot { .. } => {}
         }
     }
 }
@@ -226,6 +215,7 @@ impl TraceSink for CountingSink {
 mod tests {
     use super::*;
     use plc_core::addr::Tei;
+    use plc_core::priority::Priority;
 
     fn sof_at(t: f64) -> TraceEvent {
         TraceEvent::Sof {

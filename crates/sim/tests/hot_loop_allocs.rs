@@ -13,7 +13,6 @@
 //! The counter is thread-local, so tests running concurrently in other
 //! threads cannot perturb a measurement.
 
-use plc_sim::multiclass::{ClassStationSpec, MultiClassConfig, MultiClassEngine};
 use plc_sim::runner::Simulation;
 use plc_sim::traffic::TrafficModel;
 use rand::rngs::SmallRng;
@@ -150,34 +149,55 @@ fn poisson_run_does_not_allocate_per_step() {
 }
 
 #[test]
-fn multiclass_round_does_not_allocate_per_round() {
-    let run = |horizon_us: f64| {
+fn mixed_priority_round_does_not_allocate_per_round() {
+    use plc_core::config::CsmaConfig;
+    use plc_core::priority::Priority;
+    use plc_mac::Backoff1901;
+    use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
+
+    // Four saturated CA1 stations under a light CA3 source: every step
+    // past the first rounds opens or runs a priority-resolution round,
+    // on both the packed core and the per-object path.
+    let run = |horizon_us: f64, soa: bool| {
         let (successes, count) = allocs_during(|| {
             let mut rng = SmallRng::seed_from_u64(7);
             let mut stations = Vec::new();
             for _ in 0..4 {
-                stations.push(ClassStationSpec::new(
-                    plc_mac::Backoff1901::new(
-                        plc_core::config::CsmaConfig::ieee1901_ca01(),
-                        &mut rng,
-                    ),
-                    plc_core::priority::Priority::CA1,
-                    TrafficModel::Saturated,
-                ));
+                stations.push(StationSpec::saturated(Backoff1901::new(
+                    CsmaConfig::ieee1901_ca01(),
+                    &mut rng,
+                )));
             }
-            let cfg = MultiClassConfig {
-                horizon: plc_core::units::Microseconds(horizon_us),
-                ..Default::default()
+            stations.push(StationSpec {
+                priority: Priority::CA3,
+                traffic: TrafficModel::Poisson {
+                    rate_per_us: 2e-5,
+                    queue_cap: 8,
+                },
+                ..StationSpec::saturated(Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng))
+            });
+            let cfg = EngineConfig {
+                soa,
+                ..EngineConfig::with_horizon(plc_core::units::Microseconds(horizon_us))
             };
-            let mut engine = MultiClassEngine::new(cfg, stations, 7);
-            engine.run().successes
+            let mut engine = SlottedEngine::new(cfg, stations, 7);
+            let m = engine.run();
+            (m.per_station[0].successes, m.per_station[4].successes)
         });
-        assert!(successes > 0);
+        assert!(
+            successes.0 > 0 && successes.1 > 0,
+            "both classes win rounds"
+        );
         count
     };
-    let short = run(1e6);
-    let long = run(2e6);
-    assert_eq!(short, long, "multiclass PRS/backoff round allocated");
+    for soa in [true, false] {
+        let short = run(1e6, soa);
+        let long = run(2e6, soa);
+        assert_eq!(
+            short, long,
+            "mixed-priority round (soa {soa}) allocated per round"
+        );
+    }
 }
 
 #[test]

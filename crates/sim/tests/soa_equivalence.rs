@@ -16,19 +16,25 @@
 //! `across_bitset_words` cases pin it where its station bitsets need one
 //! word (N ≤ 64) and several (N = 65, 130, 500), and a window table wide
 //! enough that N = 1000 falls back to the packed layout. Property tests
-//! drive randomized populations and seeds (Poisson traffic, and saturated
-//! up to N = 200) through all four (soa × fast-forward) engine
-//! configurations.
+//! drive randomized populations and seeds (Poisson traffic with random
+//! station priorities, and saturated up to N = 200) through all four
+//! (soa × fast-forward) engine configurations.
 
 use parking_lot::Mutex;
 use plc_core::config::{CsmaConfig, DC_DISABLED};
+use plc_core::priority::Priority;
+use plc_core::units::Microseconds;
 use plc_faults::NoiseBurst;
 use plc_mac::retry::RetryPolicy;
+use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
 use plc_sim::bursting::BurstPolicy;
+use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
 use plc_sim::runner::{SimReport, Simulation};
 use plc_sim::trace::{TraceEvent, VecTraceSink};
 use plc_sim::traffic::TrafficModel;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Run `sim` with the SoA core on and off and assert the reports and
@@ -325,7 +331,9 @@ proptest! {
 
     /// Randomized populations and seeds through all four engine modes:
     /// the SoA core must agree with the per-object path with the
-    /// fast-forward both on and off, under mixed traffic and errors.
+    /// fast-forward both on and off, under mixed traffic, errors and
+    /// station priorities (each station draws its class; a population
+    /// whose classes differ runs priority-resolution rounds).
     #[test]
     fn soa_matches_objects_for_random_populations(
         seed in 0u64..1000,
@@ -334,21 +342,44 @@ proptest! {
         ff in any::<bool>(),
         rate in 1e-5f64..1e-3,
         pb_err in 0f64..0.3,
+        classes in proptest::collection::vec(0u8..4, 5),
     ) {
-        let base = if dcf { Simulation::dcf(n) } else { Simulation::ieee1901(n) };
-        let sim = base
-            .horizon_us(3e5)
-            .seed(seed)
-            .fast_forward(ff)
-            .pb_error_prob(pb_err)
-            .traffic(TrafficModel::Poisson { rate_per_us: rate, queue_cap: 8 });
-        let soa_sink = Arc::new(Mutex::new(VecTraceSink::new()));
-        let obj_sink = Arc::new(Mutex::new(VecTraceSink::new()));
-        let soa = sim.clone().soa(true).sink(soa_sink.clone()).run();
-        let obj = sim.soa(false).sink(obj_sink.clone()).run();
-        prop_assert_eq!(&soa.metrics, &obj.metrics);
-        let se = std::mem::take(&mut soa_sink.lock().events);
-        let oe = std::mem::take(&mut obj_sink.lock().events);
+        let run = |soa: bool| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let stations: Vec<StationSpec<AnyBackoff>> = classes[..n]
+                .iter()
+                .map(|&c| {
+                    let priority = [Priority::CA0, Priority::CA1, Priority::CA2, Priority::CA3]
+                        [c as usize];
+                    let process: AnyBackoff = if dcf {
+                        BackoffDcf::new(CsmaConfig::dcf_like(16, 6).expect("valid"), &mut rng)
+                            .into()
+                    } else {
+                        Backoff1901::new(CsmaConfig::ieee1901_for(priority), &mut rng).into()
+                    };
+                    StationSpec {
+                        priority,
+                        traffic: TrafficModel::Poisson { rate_per_us: rate, queue_cap: 8 },
+                        ..StationSpec::saturated(process)
+                    }
+                })
+                .collect();
+            let cfg = EngineConfig {
+                fast_forward: ff,
+                soa,
+                pb_error_prob: pb_err,
+                ..EngineConfig::with_horizon(Microseconds(3e5))
+            };
+            let sink = Arc::new(Mutex::new(VecTraceSink::new()));
+            let mut engine = SlottedEngine::new(cfg, stations, seed);
+            engine.add_sink(sink.clone());
+            engine.run();
+            let events = std::mem::take(&mut sink.lock().events);
+            (engine.metrics().clone(), events)
+        };
+        let (soa_metrics, se) = run(true);
+        let (obj_metrics, oe) = run(false);
+        prop_assert_eq!(&soa_metrics, &obj_metrics);
         prop_assert_eq!(se, oe);
     }
 

@@ -20,8 +20,9 @@
 //!   offsets the report quotes: bytes 25–32 and 33–40).
 //! * [`powerstrip::PowerStrip`] — the physical setup: N transmitting
 //!   stations plus a destination `D` on one contention domain, backed by
-//!   the `plc-sim` multi-class engine; UDP data flows at CA1, management
-//!   messages at CA2, exactly as the paper observes.
+//!   the `plc-sim` slotted engine; UDP data flows at CA1, management
+//!   messages at CA2, exactly as the paper observes, and the engine's
+//!   priority resolution lets a backlogged MME win the next round.
 //! * [`capture`] — the sniffer post-processing: burst detection via the
 //!   SoF `MPDUCnt` field, MME-overhead computation over *bursts*, and
 //!   per-source transmission traces for fairness studies.
@@ -35,9 +36,9 @@
 //!
 //! The whole stack is fault-aware: a [`plc_faults::FaultPlan`] on the
 //! [`TestbedConfig`] injects deterministic MME loss/delay on the bus,
-//! device brownouts and counter wrap, while the tools retry with bounded
-//! backoff and the experiment layer stitches counter discontinuities (see
-//! [`experiment`]'s module docs).
+//! device brownouts, counter wrap and impulse noise on the medium, while
+//! the tools retry with bounded backoff and the experiment layer stitches
+//! counter discontinuities (see [`experiment`]'s module docs).
 //!
 //! Everything a real measurement would see — counter values, reply bytes,
 //! captured delimiter fields — passes through the same wire formats as on

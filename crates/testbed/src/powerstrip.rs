@@ -5,13 +5,15 @@
 //! N stations are activated and plugged on the power-strip … the channel
 //! conditions are ideal". [`PowerStrip`] builds exactly that — `N`
 //! emulated devices plus `D` on one contention domain — and runs the
-//! `plc-sim` multi-class engine underneath:
+//! `plc-sim` slotted engine underneath:
 //!
 //! * each device contributes a **data station** at CA1 (saturated UDP, the
 //!   paper's default priority) — except `D`, which only receives;
 //! * each device (including `D`) optionally contributes a **management
 //!   station** at CA2 with low-rate Poisson arrivals, reproducing the
-//!   MMEs the paper observes "are transmitted with CA2 or CA3 priorities";
+//!   MMEs the paper observes "are transmitted with CA2 or CA3 priorities".
+//!   The two classes share the medium through the engine's priority
+//!   resolution: a backlogged MME station wins the next round;
 //! * a firmware trace sink feeds the engine's wire events into the
 //!   devices: every SACK updates the transmitter's acked/collided
 //!   counters (collided MPDUs are acknowledged-with-errors), and every
@@ -27,8 +29,8 @@ use plc_core::timing::MacTiming;
 use plc_core::units::Microseconds;
 use plc_mac::Backoff1901;
 use plc_sim::bursting::BurstPolicy;
+use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
 use plc_sim::metrics::Metrics;
-use plc_sim::multiclass::{ClassStationSpec, MultiClassConfig, MultiClassEngine};
 use plc_sim::trace::{TraceEvent, TraceSink};
 use plc_sim::traffic::TrafficModel;
 use rand::rngs::SmallRng;
@@ -117,17 +119,15 @@ impl PowerStrip {
 
     /// Mirror every device's firmware counters into `registry`
     /// (`testbed.dev<TEI>.tx_acked` / `.tx_collided`) and instrument the
-    /// underlying engine's round/PRS timers on the next [`run_test`].
+    /// underlying engine (its `engine.*` metrics, see
+    /// [`SlottedEngine::instrument`]) on every later test run.
     /// Observability only — results are identical with or without it.
-    /// Fails (leaving the strip uninstrumented) if any metric name is
-    /// already registered under a different kind.
-    ///
-    /// [`run_test`]: PowerStrip::run_test
+    /// Fails (leaving the strip uninstrumented) if a device mirror name is
+    /// already registered under a different kind; a clash on an engine
+    /// name surfaces from
+    /// [`run_test_with_breaks`](PowerStrip::run_test_with_breaks) before
+    /// any slot runs.
     pub fn attach_registry(&mut self, registry: &plc_obs::Registry) -> plc_core::error::Result<()> {
-        // Pre-register the engine timers eagerly so run_test's instrument
-        // call cannot fail later: any name clash surfaces here instead.
-        registry.try_timer("multiclass.round")?;
-        registry.try_timer("multiclass.prs")?;
         for d in self.devices.lock().iter_mut() {
             d.attach_registry(registry)?;
         }
@@ -178,9 +178,17 @@ impl PowerStrip {
     /// Run one test of the configured duration. Returns the engine's
     /// ground-truth metrics (the measured counters live in the devices and
     /// are read through the tools, as on hardware).
+    ///
+    /// # Panics
+    ///
+    /// When the engine cannot be built (a malformed noise plan) or
+    /// instrumented (an engine metric name registered under another kind
+    /// in the attached registry);
+    /// [`run_test_with_breaks`](PowerStrip::run_test_with_breaks) returns
+    /// the error instead.
     pub fn run_test(&mut self) -> Metrics {
         self.run_test_with_breaks(&[], |_| Ok(()))
-            .expect("a break-free test cannot fail")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`run_test`](PowerStrip::run_test), pausing the engine at each time
@@ -191,9 +199,13 @@ impl PowerStrip {
     /// coinciding with a break is applied first, so the break observes the
     /// post-reset counters.
     ///
-    /// The engine performs the exact same sequence of rounds as an
+    /// The engine performs the exact same sequence of steps as an
     /// unsegmented run — pausing is observationally free — so for an empty
-    /// plan and no breaks this is byte-identical to [`run_test`].
+    /// plan and no breaks this is byte-identical to
+    /// [`run_test`](PowerStrip::run_test). The plan's impulse-noise bursts
+    /// reach the engine ([`EngineConfig::noise`]); a malformed schedule,
+    /// or an engine metric name the attached registry holds under another
+    /// kind, is returned as an error before any slot runs.
     pub fn run_test_with_breaks(
         &mut self,
         breaks: &[Microseconds],
@@ -203,49 +215,54 @@ impl PowerStrip {
         let dst = self.destination_tei();
         let mut proc_rng = SmallRng::seed_from_u64(self.cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
 
-        let mut stations: Vec<ClassStationSpec<Backoff1901>> = Vec::new();
+        let mut stations: Vec<StationSpec<Backoff1901>> = Vec::new();
         // Data stations: CA1, saturated, one per transmitting device.
         for i in 0..n {
-            let mut s = ClassStationSpec::new(
-                Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut proc_rng),
-                Priority::CA1,
-                TrafficModel::Saturated,
-            );
-            s.tei = Some(Tei::station(i as u32));
-            s.dst = Some(dst);
-            stations.push(s);
+            stations.push(StationSpec {
+                tei: Some(Tei::station(i as u32)),
+                dst: Some(dst),
+                ..StationSpec::saturated(Backoff1901::new(
+                    CsmaConfig::ieee1901_ca01(),
+                    &mut proc_rng,
+                ))
+            });
         }
         // Management stations: CA2, light Poisson, one per device incl. D.
         if self.cfg.mme_rate_per_us > 0.0 {
             for i in 0..=n {
-                let mut s = ClassStationSpec::new(
-                    Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut proc_rng),
-                    Priority::CA2,
-                    TrafficModel::Poisson {
+                stations.push(StationSpec {
+                    priority: Priority::CA2,
+                    traffic: TrafficModel::Poisson {
                         rate_per_us: self.cfg.mme_rate_per_us,
                         queue_cap: 16,
                     },
-                );
-                s.tei = Some(Tei::station(i as u32));
-                // MMEs from stations go to D; D's own MMEs go to station 0.
-                s.dst = Some(if i == n { Tei::station(0) } else { dst });
-                s.num_pbs = 1; // MMEs are single-PB frames
-                stations.push(s);
+                    num_pbs: 1, // MMEs are single-PB frames
+                    tei: Some(Tei::station(i as u32)),
+                    // MMEs from stations go to D; D's own MMEs go to station 0.
+                    dst: Some(if i == n { Tei::station(0) } else { dst }),
+                    ..StationSpec::saturated(Backoff1901::new(
+                        CsmaConfig::ieee1901_ca23(),
+                        &mut proc_rng,
+                    ))
+                });
             }
         }
 
-        let engine_cfg = MultiClassConfig {
+        let engine_cfg = EngineConfig {
             timing: self.cfg.timing,
             horizon: self.cfg.duration,
             burst: self.cfg.burst,
-            emit_wire_events: true,
-            fast_forward: true,
+            noise: self
+                .cfg
+                .faults
+                .as_ref()
+                .map(|plan| plan.noise.clone())
+                .unwrap_or_default(),
+            ..EngineConfig::paper_default()
         };
-        let mut engine = MultiClassEngine::new(engine_cfg, stations, self.cfg.seed);
+        let mut engine = SlottedEngine::try_new(engine_cfg, stations, self.cfg.seed)?;
         if let Some(registry) = &self.registry {
-            // Cannot fail: attach_registry pre-registered both timers with
-            // the right kinds, and re-resolving a same-kind name succeeds.
-            let _ = engine.instrument(registry);
+            engine.instrument(registry)?;
         }
         let sink = Arc::new(Mutex::new(FirmwareSink::new(self.devices.clone())));
         engine.add_sink(sink);
@@ -275,17 +292,16 @@ impl PowerStrip {
         for (t, boundary) in bounds {
             let target = Microseconds(t.min(horizon.as_micros()));
             while engine.time() <= target {
-                engine.round();
+                engine.step();
             }
             match boundary {
                 Boundary::Reset(station) => self.devices.lock()[station].reset_firmware(),
                 Boundary::Break(j) => on_break(j)?,
             }
         }
-        while engine.time() <= horizon {
-            engine.round();
-        }
-        Ok(engine.metrics().clone())
+        // The rest runs to the horizon with fast-forward, byte-identical
+        // to stepping.
+        Ok(engine.run().clone())
     }
 }
 
@@ -418,11 +434,8 @@ mod tests {
                 "device {i} collided mirror"
             );
         }
-        // The engine's round timer was instrumented through the same registry.
-        assert!(snap
-            .timers
-            .iter()
-            .any(|t| t.name == "multiclass.round" && t.count > 0));
+        // The engine was instrumented through the same registry.
+        assert!(snap.counter("engine.steps").is_some_and(|steps| steps > 0));
     }
 
     #[test]
@@ -590,6 +603,57 @@ mod tests {
             clean[0].acked
         );
         assert_eq!(faulted[1], clean[1], "other station unaffected");
+    }
+
+    #[test]
+    fn impulse_noise_from_the_plan_reaches_the_medium() {
+        // A burst over the middle second wipes every PB sent inside it.
+        // Each such MPDU is SACKed with every PB errored, which the
+        // firmware counts as a collision, so ampstat's ΣCᵢ rises over the
+        // same-seed clean control. The engine itself draws nothing for
+        // noise: its own success and collision counts stay equal.
+        let mut cfg = quick_cfg(2, 11);
+        cfg.mme_rate_per_us = 0.0;
+        let mut control = PowerStrip::new(cfg.clone());
+        let clean_metrics = control.run_test();
+        cfg.faults = Some(
+            plc_faults::FaultPlan::builder()
+                .seed(11)
+                .noise_burst(2.0e6, 1.0e6)
+                .build(),
+        );
+        let mut noisy = PowerStrip::new(cfg);
+        let noisy_metrics = noisy.run_test();
+        assert_eq!(noisy_metrics.successes, clean_metrics.successes);
+        assert_eq!(
+            noisy_metrics.collision_events,
+            clean_metrics.collision_events
+        );
+        let collided =
+            |strip: &PowerStrip| -> u64 { counters(strip, 2).iter().map(|c| c.collided).sum() };
+        assert!(
+            collided(&noisy) > collided(&control),
+            "noise must show as collided MPDUs: {} vs {}",
+            collided(&noisy),
+            collided(&control)
+        );
+    }
+
+    #[test]
+    fn engine_metric_kind_clash_fails_before_any_slot() {
+        let mut cfg = quick_cfg(2, 12);
+        cfg.mme_rate_per_us = 0.0;
+        let mut strip = PowerStrip::new(cfg);
+        let registry = plc_obs::Registry::new();
+        // The engine counts `engine.steps`; a timer of that name clashes.
+        registry.timer("engine.steps");
+        strip.attach_registry(&registry).unwrap();
+        let err = strip.run_test_with_breaks(&[], |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("engine.steps"), "{err}");
+        assert!(
+            counters(&strip, 2).iter().all(|c| c.acked == 0),
+            "no slot may run"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! which is how the sniffer separates them.
 //!
 //! This example demonstrates both faces of the mechanism with the
-//! multi-class engine:
+//! slotted engine, which resolves priorities whenever its stations' classes
+//! differ:
 //!
 //! 1. strict precedence — a saturated CA2 station starves saturated CA1
 //!    stations completely;
@@ -18,33 +19,38 @@
 //! Run with: `cargo run --release --example priorities`
 
 use plc::prelude::*;
-use plc_sim::multiclass::{ClassStationSpec, MultiClassConfig, MultiClassEngine};
+use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
 use plc_stats::table::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn engine(
-    specs: Vec<ClassStationSpec<Backoff1901>>,
+/// Run `specs` to `horizon_us` and return the (CA1, CA2) success counts.
+fn successes_by_class(
+    specs: Vec<StationSpec<Backoff1901>>,
     horizon_us: f64,
     seed: u64,
-) -> MultiClassEngine<Backoff1901> {
-    let cfg = MultiClassConfig {
-        horizon: Microseconds::new(horizon_us),
-        ..Default::default()
+) -> (u64, u64) {
+    let classes: Vec<Priority> = specs.iter().map(|s| s.priority).collect();
+    let cfg = EngineConfig::with_horizon(Microseconds::new(horizon_us));
+    let mut engine = SlottedEngine::new(cfg, specs, seed);
+    let metrics = engine.run();
+    let count = |class: Priority| -> u64 {
+        classes
+            .iter()
+            .zip(&metrics.per_station)
+            .filter(|(&p, _)| p == class)
+            .map(|(_, s)| s.successes)
+            .sum()
     };
-    MultiClassEngine::new(cfg, specs, seed)
+    (count(Priority::CA1), count(Priority::CA2))
 }
 
-fn spec(
-    priority: Priority,
-    traffic: TrafficModel,
-    rng: &mut SmallRng,
-) -> ClassStationSpec<Backoff1901> {
-    ClassStationSpec::new(
-        Backoff1901::new(CsmaConfig::ieee1901_for(priority), rng),
+fn spec(priority: Priority, traffic: TrafficModel, rng: &mut SmallRng) -> StationSpec<Backoff1901> {
+    StationSpec {
         priority,
         traffic,
-    )
+        ..StationSpec::saturated(Backoff1901::new(CsmaConfig::ieee1901_for(priority), rng))
+    }
 }
 
 fn main() {
@@ -52,7 +58,7 @@ fn main() {
 
     // ---- Scenario 1: saturated CA2 vs saturated CA1 -------------------
     let mut rng = SmallRng::seed_from_u64(1);
-    let mut e1 = engine(
+    let saturated = successes_by_class(
         vec![
             spec(Priority::CA1, TrafficModel::Saturated, &mut rng),
             spec(Priority::CA1, TrafficModel::Saturated, &mut rng),
@@ -61,12 +67,10 @@ fn main() {
         horizon,
         1,
     );
-    e1.run();
-    let by_class1 = e1.successes_by_class();
 
     // ---- Scenario 2: light CA2 over saturated CA1 ---------------------
     let mut rng = SmallRng::seed_from_u64(2);
-    let mut e2 = engine(
+    let light = successes_by_class(
         vec![
             spec(Priority::CA1, TrafficModel::Saturated, &mut rng),
             spec(Priority::CA1, TrafficModel::Saturated, &mut rng),
@@ -82,19 +86,17 @@ fn main() {
         horizon,
         2,
     );
-    e2.run();
-    let by_class2 = e2.successes_by_class();
 
     let mut table = Table::new(vec!["scenario", "CA1 successes", "CA2 successes"]);
     table.row(vec![
         "CA2 saturated".to_string(),
-        by_class1[1].to_string(),
-        by_class1[2].to_string(),
+        saturated.0.to_string(),
+        saturated.1.to_string(),
     ]);
     table.row(vec![
         "CA2 light (Poisson)".to_string(),
-        by_class2[1].to_string(),
-        by_class2[2].to_string(),
+        light.0.to_string(),
+        light.1.to_string(),
     ]);
 
     println!(
@@ -107,16 +109,5 @@ fn main() {
          Under light CA2 load the CA1 stations keep almost all the airtime —\n\
          which is why the paper's CA2 management messages only mildly perturb\n\
          the CA1 data measurements.\n"
-    );
-
-    // PRS accounting: the resolution slots are real airtime.
-    let m = e2.metrics();
-    let (idle, succ, coll, prs) = m.airtime_shares();
-    println!(
-        "airtime shares (scenario 2): idle {:.1}%, success {:.1}%, collision {:.1}%, PRS {:.1}%",
-        idle * 100.0,
-        succ * 100.0,
-        coll * 100.0,
-        prs * 100.0
     );
 }

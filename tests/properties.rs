@@ -66,7 +66,7 @@ proptest! {
         let m = &report.metrics;
 
         // Time decomposition.
-        let accounted = m.time_idle + m.time_success + m.time_collision + m.time_prs;
+        let accounted = m.time_idle + m.time_success + m.time_collision;
         prop_assert!((accounted.as_micros() - m.elapsed.as_micros()).abs() < 1e-6);
 
         // Counter balance.
