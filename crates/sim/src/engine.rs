@@ -34,7 +34,7 @@
 //!
 //! Resolution charges no airtime: the two PRS slots already sit inside
 //! `Ts` and `Tc` ([`MacTiming::from_payload`]). A population with one
-//! priority never resolves, and runs exactly as before.
+//! priority never resolves.
 //!
 //! With the default knobs (saturated stations, single-MPDU bursts,
 //! infinite retries) the engine is statistically indistinguishable from
