@@ -354,8 +354,8 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// A resolution round is open: its losers are `frozen` until its
     /// success or collision.
     round_open: bool,
-    /// Scratch list of the backlogged classes a round resolves over
-    /// (allocated only when `resolves`).
+    /// Scratch list of the backlogged classes a round resolves over,
+    /// reused from round to round.
     classes_buf: Vec<Priority>,
     /// Earliest [`TrafficState::next_event_us`] over all stations
     /// (`INFINITY` when no station has a pending arrival or phase flip).
@@ -532,11 +532,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             fixed_backlog,
             resolves,
             round_open: false,
-            classes_buf: if resolves {
-                Vec::with_capacity(n)
-            } else {
-                Vec::new()
-            },
+            classes_buf: Vec::new(),
             next_traffic_event,
             hint_valid: false,
             min_bc: u32::MAX,
@@ -815,17 +811,14 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     #[cold]
     #[inline(never)]
     fn open_round(&mut self) {
-        let mut classes = std::mem::take(&mut self.classes_buf);
-        classes.clear();
-        classes.extend(
+        self.classes_buf.clear();
+        self.classes_buf.extend(
             self.stations
                 .iter()
                 .filter(|st| st.backlogged())
                 .map(|st| st.priority),
         );
-        let resolved = resolve_priority(&classes);
-        self.classes_buf = classes;
-        let Some(res) = resolved else {
+        let Some(res) = resolve_priority(&self.classes_buf) else {
             return;
         };
         for (i, st) in self.stations.iter_mut().enumerate() {
