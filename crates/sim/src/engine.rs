@@ -302,6 +302,24 @@ enum StepKind {
     Collision,
 }
 
+/// Station TEIs of a 1901 AVLN: 1–254, taken by station indices 0–253
+/// ([`Tei::station`]).
+const AVLN_STATION_TEIS: usize = 254;
+
+/// Fail unless `n` stations with default TEIs, which send to one past
+/// the last station, can put their wire events on a sink.
+pub(crate) fn check_default_teis(n: usize) -> Result<()> {
+    if n >= AVLN_STATION_TEIS {
+        return Err(Error::invalid_config(format!(
+            "{n} stations cannot stamp wire events for a trace sink: a 1901 AVLN has \
+             {AVLN_STATION_TEIS} station TEIs, so at most {} stations plus their default \
+             destination; run without sinks or give each station an explicit tei and dst",
+            AVLN_STATION_TEIS - 1
+        )));
+    }
+    Ok(())
+}
+
 /// Earliest pending traffic event over `stations` (see
 /// [`TrafficState::next_event_us`]).
 fn next_traffic_event<P>(stations: &[StationCtx<P>]) -> f64 {
@@ -544,8 +562,33 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     }
 
     /// Subscribe a trace sink.
+    ///
+    /// With a sink attached (and [`EngineConfig::emit_wire_events`] on)
+    /// every SoF and SACK is stamped with TEIs, and a 1901 AVLN has 254
+    /// station TEIs ([`Tei::station`]). A station without an explicit
+    /// [`StationSpec::tei`] takes TEI `index + 1`, and one without
+    /// [`StationSpec::dst`] sends to one past the last station, so more
+    /// than 253 such stations panic at the first wire event.
+    /// [`Simulation::try_build`](crate::Simulation::try_build) and
+    /// topology runs check this and return [`Error::InvalidConfig`]
+    /// before any slot runs.
     pub fn add_sink(&mut self, sink: SharedSink) {
         self.sinks.push(sink);
+    }
+
+    /// [`Error::InvalidConfig`] when this engine's wire events would need
+    /// a TEI past the 254 of a 1901 AVLN (see [`add_sink`](Self::add_sink)).
+    pub(crate) fn check_wire_teis(&self) -> Result<()> {
+        if !self.cfg.emit_wire_events || self.sinks.is_empty() {
+            return Ok(());
+        }
+        // Only a default TEI or destination can run past the limit.
+        let defaults = (self.stations.iter().enumerate())
+            .any(|(i, st)| st.dst.is_none() || st.tei.is_none() && i >= AVLN_STATION_TEIS);
+        if defaults {
+            return check_default_teis(self.stations.len());
+        }
+        Ok(())
     }
 
     /// Attach a periodic observer: it receives an [`EngineObs`] snapshot
@@ -1220,13 +1263,41 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 // collision probability despite 2-MPDU bursts.
                 let mut bursts = std::mem::take(&mut self.burst_buf);
                 bursts.clear();
-                bursts.extend(tx.iter().map(|&i| {
-                    let available = (self.stations[i].retx.len()
-                        + self.stations[i].traffic.backlog().min(MAX_BURST))
-                    .clamp(1, MAX_BURST);
-                    (i, self.cfg.burst.draw(&mut self.rng, available))
-                }));
-                let max_burst = bursts.iter().map(|&(_, b)| b).max().unwrap_or(1);
+                let mut actions = std::mem::take(&mut self.action_buf);
+                actions.clear();
+                let mut max_burst = 1;
+                // One pass over the colliders: burst draw and per-station
+                // collision counters, plus the struct-of-arrays path's
+                // retry/drop bookkeeping. Only the burst draws consume RNG
+                // words, in ascending station order, before any redraw;
+                // a drop touches the dropping station alone, after its
+                // own draw. `FrameDropped` waits for the SoF/SACK events.
+                for &i in &tx {
+                    let st = &mut self.stations[i];
+                    let available =
+                        (st.retx.len() + st.traffic.backlog().min(MAX_BURST)).clamp(1, MAX_BURST);
+                    let burst = self.cfg.burst.draw(&mut self.rng, available);
+                    bursts.push((i, burst));
+                    max_burst = max_burst.max(burst);
+                    self.metrics.record_collider(i, burst);
+                    if let Some(core) = &mut self.core {
+                        if st.retry.record_failure(self.cfg.retry) {
+                            st.retry = RetryState::new();
+                            // Drop the head-of-line unit: a pending
+                            // retransmission if any, else a queued frame.
+                            if st.retx.pop_front().is_none() {
+                                st.traffic.consume(1);
+                            }
+                            self.metrics.per_station[i].dropped += 1;
+                            actions.push(SweepAction::Restart);
+                        } else {
+                            actions.push(SweepAction::Advance);
+                        }
+                        if !self.fixed_backlog {
+                            core.set_active(i, st.contends());
+                        }
+                    }
+                }
                 // The channel is occupied for the longest burst plus the
                 // collision-detection overhead (Tc − Ts); equals Tc for
                 // single-MPDU transmissions.
@@ -1262,30 +1333,18 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 }
 
                 if let Some(core) = &mut self.core {
-                    // Engine-level retry/drop bookkeeping first — it
-                    // consumes no RNG draws and only emits `FrameDropped`
-                    // events, which the per-object loop also emits before
-                    // the `Collision` event — then the sweep redraws in
+                    // The drops were decided above; their events follow
+                    // the wire events, before the `Collision` event, as in
+                    // the per-object loop. Then the sweep redraws in
                     // ascending station order.
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    actions.clear();
-                    for &i in &tx {
-                        let st = &mut self.stations[i];
-                        if st.retry.record_failure(self.cfg.retry) {
-                            st.retry = RetryState::new();
-                            // Drop the head-of-line unit: a pending
-                            // retransmission if any, else a queued frame.
-                            if st.retx.pop_front().is_none() {
-                                st.traffic.consume(1);
+                    if emitting {
+                        for (&i, &action) in tx.iter().zip(&actions) {
+                            if action == SweepAction::Restart {
+                                emit_to(
+                                    &self.sinks,
+                                    &TraceEvent::FrameDropped { t: t0, station: i },
+                                );
                             }
-                            self.metrics.per_station[i].dropped += 1;
-                            emit_to(&self.sinks, &TraceEvent::FrameDropped { t: t0, station: i });
-                            actions.push(SweepAction::Restart);
-                        } else {
-                            actions.push(SweepAction::Advance);
-                        }
-                        if !self.fixed_backlog {
-                            core.set_active(i, st.contends());
                         }
                     }
                     core.collision_sweep::<TRACK>(
@@ -1295,7 +1354,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                         &mut zero,
                         &mut min_bc,
                     );
-                    self.action_buf = actions;
                 } else {
                     // `tx` is ascending (scan order), so a cursor replaces
                     // the O(|tx|) membership test per station.
@@ -1335,9 +1393,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
                 self.t += dur;
                 self.round_open = false;
-                self.metrics.record_collision(&bursts);
+                self.metrics.record_collision_event(tx.len());
                 self.metrics.time_collision += dur;
                 self.burst_buf = bursts;
+                self.action_buf = actions;
                 if emitting {
                     self.emit(TraceEvent::Collision {
                         t: t0,

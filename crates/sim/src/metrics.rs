@@ -231,14 +231,30 @@ impl Metrics {
     /// MPDU counters count every MPDU of the burst (the firmware-counter
     /// semantics of the testbed).
     pub(crate) fn record_collision(&mut self, stations: &[(usize, usize)]) {
-        self.collision_events += 1;
-        self.collided_tx += stations.len() as u64;
         for &(i, mpdus) in stations {
-            let s = &mut self.per_station[i];
-            s.collisions += 1;
-            s.attempts += 1;
-            s.mpdus_collided += mpdus as u64;
+            self.record_collider(i, mpdus);
         }
+        self.record_collision_event(stations.len());
+    }
+
+    /// [`record_collision`](Self::record_collision)'s per-station part:
+    /// `station` collided with a burst of `mpdus` MPDUs. For callers that
+    /// already walk the colliders; each collision then ends with one
+    /// [`record_collision_event`](Self::record_collision_event).
+    #[inline]
+    pub(crate) fn record_collider(&mut self, station: usize, mpdus: usize) {
+        let s = &mut self.per_station[station];
+        s.collisions += 1;
+        s.attempts += 1;
+        s.mpdus_collided += mpdus as u64;
+    }
+
+    /// [`record_collision`](Self::record_collision)'s event part: one
+    /// collision among `colliders` stations.
+    #[inline]
+    pub(crate) fn record_collision_event(&mut self, colliders: usize) {
+        self.collision_events += 1;
+        self.collided_tx += colliders as u64;
     }
 }
 

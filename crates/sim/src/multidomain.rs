@@ -70,7 +70,7 @@
 //! mirroring the standard's per-AVLN TEI assignment.
 
 use crate::batch::BatchRunner;
-use crate::engine::{EngineConfig, SlottedEngine, StationSpec};
+use crate::engine::{check_default_teis, EngineConfig, SlottedEngine, StationSpec};
 use crate::metrics::Metrics;
 use crate::runner::{SimReport, Simulation};
 use crate::topology::Topology;
@@ -183,9 +183,15 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
         }
     }
 
+    let emitting = !sim.sinks.is_empty();
+    if emitting {
+        // Each cell is its own AVLN: its wire events take cell-local TEIs.
+        for c in 0..topo.num_cells() {
+            check_default_teis(topo.cell_members(c).len())?;
+        }
+    }
     let components = topo.components();
     let num_components = components.len() as u64;
-    let emitting = !sim.sinks.is_empty();
     let outs: Vec<Result<ComponentOut>> = BatchRunner::new()
         .workers(sim.domain_workers)
         .run(components, |_, comp, _| {

@@ -363,7 +363,8 @@ impl Simulation {
 
     /// Build the engine, surfacing configuration problems (overlapping
     /// noise bursts, invalid timing, metric-name clashes in the attached
-    /// registry) as typed errors instead of panicking.
+    /// registry, more stations than a 1901 AVLN has TEIs for when a sink
+    /// is attached) as typed errors instead of panicking.
     pub fn try_build(&self) -> plc_core::error::Result<SlottedEngine<AnyBackoff>> {
         if self.backend != Backend::Slotted {
             return Err(plc_core::error::Error::invalid_config(
@@ -417,6 +418,7 @@ impl Simulation {
         for s in &self.sinks {
             engine.add_sink(s.clone());
         }
+        engine.check_wire_teis()?;
         for (obs, every) in &self.observers {
             engine.add_observer(obs.clone(), *every);
         }
@@ -701,6 +703,9 @@ impl ReplicationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::CountingSink;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn builder_runs_1901() {
@@ -810,9 +815,6 @@ mod tests {
 
     #[test]
     fn builder_sink_receives_all_events() {
-        use crate::trace::CountingSink;
-        use parking_lot::Mutex;
-        use std::sync::Arc;
         let sink = Arc::new(Mutex::new(CountingSink::default()));
         let r = Simulation::ieee1901(2)
             .horizon_us(1e6)
@@ -822,6 +824,102 @@ mod tests {
         let c = *sink.lock();
         assert_eq!(c.successes, r.successes);
         assert_eq!(c.collisions, r.metrics.collision_events);
+    }
+
+    /// A fresh counting sink and a handle to read it.
+    fn counting_sink() -> (SharedSink, Arc<Mutex<CountingSink>>) {
+        let sink = Arc::new(Mutex::new(CountingSink::default()));
+        (sink.clone(), sink)
+    }
+
+    /// `result` must be the typed TEI-limit error, and `sink` untouched.
+    fn assert_tei_limit<T: std::fmt::Debug>(
+        result: plc_core::error::Result<T>,
+        sink: &Mutex<CountingSink>,
+        what: &str,
+    ) {
+        match result {
+            Err(plc_core::error::Error::InvalidConfig { reason }) => {
+                assert!(reason.contains("254 station TEIs"), "{what}: {reason}")
+            }
+            other => panic!("{what}: expected the TEI limit, got {other:?}"),
+        }
+        assert_eq!(
+            *sink.lock(),
+            CountingSink::default(),
+            "{what}: no slot may run"
+        );
+    }
+
+    #[test]
+    fn sinks_need_a_tei_per_station_and_one_for_the_destination() {
+        // Stations take TEIs 1..=n and send to TEI n + 1, and a 1901 AVLN
+        // has 254 station TEIs: 253 stations fit, 254 do not.
+        for n in [254, 300] {
+            let (sink, seen) = counting_sink();
+            let sim = Simulation::ieee1901(n).horizon_us(2e5).sink(sink);
+            assert_tei_limit(
+                sim.try_build().map(|_| ()),
+                &seen,
+                &format!("N = {n} build"),
+            );
+            assert_tei_limit(sim.try_run(), &seen, &format!("N = {n} run"));
+            // Without a sink nothing is stamped.
+            assert!(Simulation::ieee1901(n).horizon_us(2e5).try_run().is_ok());
+        }
+        let (sink, seen) = counting_sink();
+        let r = Simulation::ieee1901(253)
+            .horizon_us(2e5)
+            .sink(sink)
+            .try_run()
+            .unwrap();
+        let seen = *seen.lock();
+        assert!(seen.sofs > 0);
+        assert_eq!(seen.successes, r.successes);
+    }
+
+    #[test]
+    fn topology_cells_with_sinks_need_a_tei_per_station() {
+        // Each cell is its own AVLN: isolated cells run one engine each,
+        // coupled ones the coordinator, and both reject a 254-station
+        // cell before any slot runs.
+        let line = |x0: f64, n: usize| -> Vec<(f64, f64)> {
+            (0..n).map(|k| (x0 + k as f64 * 0.01, 0.0)).collect()
+        };
+        // A cell of `n` and one of two, `gap` metres apart.
+        let cells = |n, gap| {
+            Topology::builder()
+                .cell(&line(0.0, n))
+                .cell(&line(gap, 2))
+                .build()
+                .unwrap()
+        };
+        let (isolated, coupled) = (1_000.0, 5.0);
+        assert_eq!(cells(2, isolated).components().len(), 2);
+        assert_eq!(cells(2, coupled).components().len(), 1);
+        for (what, topology) in [
+            ("isolated", cells(254, isolated)),
+            ("coupled", cells(254, coupled)),
+        ] {
+            assert!(!topology.is_fully_connected(), "{what}");
+            let (sink, seen) = counting_sink();
+            let sim = Simulation::ieee1901(1)
+                .topology(topology)
+                .horizon_us(2e5)
+                .sink(sink);
+            assert_tei_limit(sim.try_run(), &seen, what);
+            assert_tei_limit(sim.try_run_topology(), &seen, what);
+        }
+        for topology in [cells(253, isolated), cells(253, coupled)] {
+            let (sink, seen) = counting_sink();
+            let r = Simulation::ieee1901(1)
+                .topology(topology)
+                .horizon_us(2e5)
+                .sink(sink)
+                .try_run()
+                .unwrap();
+            assert_eq!(seen.lock().successes, r.successes);
+        }
     }
 
     #[test]

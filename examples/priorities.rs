@@ -13,8 +13,8 @@
 //! 1. strict precedence — a saturated CA2 station starves saturated CA1
 //!    stations completely;
 //! 2. sharing under light high-priority load — a low-rate CA2 source
-//!    (like the MME background) barely dents CA1 throughput, but its own
-//!    frames see priority service.
+//!    (100 frames/s) is served as its frames arrive, and the example
+//!    prints the share of all successes it takes from the CA1 stations.
 //!
 //! Run with: `cargo run --release --example priorities`
 
@@ -104,10 +104,11 @@ fn main() {
         horizon / 1e6
     );
     println!("{}", table.render());
+    let ca2_share = 100.0 * light.1 as f64 / (light.0 + light.1).max(1) as f64;
     println!(
         "Saturated CA2 wins every priority-resolution phase: CA1 gets zero.\n\
-         Under light CA2 load the CA1 stations keep almost all the airtime —\n\
-         which is why the paper's CA2 management messages only mildly perturb\n\
-         the CA1 data measurements.\n"
+         Under light CA2 load (100 frames/s) priority resolution serves the CA2\n\
+         frames as they arrive: CA2 takes {ca2_share:.1} % of all successes and the\n\
+         two CA1 stations share the rest.\n"
     );
 }
