@@ -153,9 +153,9 @@ pub struct EngineConfig {
     /// polls the token once per slot (idle runs are still absorbed in
     /// one fast-forward jump first) and returns early when it fires,
     /// leaving partial metrics behind. `None` (the default) is **zero
-    /// cost**: the run loop compiles without any check — the engine
-    /// dispatches to the exact pre-cancellation loops — so installing
-    /// no token keeps the hot path byte-for-byte as fast as before.
+    /// cost**: the run loop is compiled once per poll, and the token-free
+    /// instance polls a constant `false` that folds away, so installing
+    /// no token leaves the hot loop without a check.
     /// Cancellation never perturbs results that complete: a run that
     /// reaches the horizon with an un-fired token is bit-identical to
     /// one without a token installed.
@@ -188,6 +188,49 @@ impl EngineConfig {
             horizon,
             ..Self::paper_default()
         }
+    }
+
+    /// Reject what no run can use, with [`Error::InvalidConfig`]: invalid
+    /// timing, a PB error probability outside `[0, 1)`, or a noise
+    /// schedule with a non-finite or negative burst or two bursts that
+    /// overlap once sorted by start (sorted here). Overlapping or
+    /// non-finite bursts would corrupt the monotone noise cursor and the
+    /// fast-forward clamp. [`SlottedEngine::try_new`] and topology runs
+    /// both check through here.
+    pub(crate) fn check(&mut self) -> Result<()> {
+        if !self.timing.is_valid() {
+            return Err(Error::invalid_config("invalid MacTiming"));
+        }
+        if !(0.0..1.0).contains(&self.pb_error_prob) {
+            return Err(Error::invalid_config(
+                "PB error probability must be in [0, 1)",
+            ));
+        }
+        for b in &self.noise {
+            if !(b.start_us.is_finite() && b.duration_us.is_finite())
+                || b.start_us < 0.0
+                || b.duration_us < 0.0
+            {
+                return Err(Error::invalid_config(format!(
+                    "noise burst (start {} µs, duration {} µs) must have \
+                     finite, non-negative start and duration",
+                    b.start_us, b.duration_us
+                )));
+            }
+        }
+        self.noise.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+        for w in self.noise.windows(2) {
+            if w[1].start_us < w[0].end_us() {
+                return Err(Error::invalid_config(format!(
+                    "noise bursts overlap: [{}, {}) and [{}, {}) µs",
+                    w[0].start_us,
+                    w[0].end_us(),
+                    w[1].start_us,
+                    w[1].end_us()
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -240,16 +283,18 @@ impl<P> StationSpec<P> {
     }
 }
 
-struct StationCtx<P> {
-    process: P,
+/// One station's run-time record: the engine's, and each coupled cell's
+/// in [`crate::multidomain`].
+pub(crate) struct StationCtx<P> {
+    pub(crate) process: P,
     priority: Priority,
-    traffic: TrafficState,
-    retry: RetryState,
-    num_pbs: u16,
+    pub(crate) traffic: TrafficState,
+    pub(crate) retry: RetryState,
+    pub(crate) num_pbs: u16,
     pb_error_prob: Option<f64>,
     /// PB counts of partially-errored MPDUs awaiting selective
     /// retransmission (FIFO; serviced before fresh frames).
-    retx: std::collections::VecDeque<u16>,
+    pub(crate) retx: std::collections::VecDeque<u16>,
     tei: Option<Tei>,
     dst: Option<Tei>,
     /// Outside the winning class of the open priority-resolution round.
@@ -258,10 +303,42 @@ struct StationCtx<P> {
     frozen: bool,
 }
 
+/// A successful burst, as its delivery and wire stamp read it.
+pub(crate) struct Burst {
+    /// The winner.
+    pub(crate) station: StationId,
+    /// MPDUs in the burst.
+    pub(crate) mpdus: usize,
+    /// When the first SoF goes on the wire.
+    pub(crate) start: Microseconds,
+    /// The winner's frame length.
+    pub(crate) frame_length: Microseconds,
+    /// Impulse noise (or, on coupled cells, a foreign transmission)
+    /// errors every PB, without consuming channel-RNG draws.
+    pub(crate) jammed: bool,
+}
+
 impl<P> StationCtx<P> {
+    /// The record of a station built from `spec`, its traffic source
+    /// seeded from `rng`.
+    pub(crate) fn new(spec: StationSpec<P>, rng: &mut SmallRng) -> Self {
+        StationCtx {
+            process: spec.process,
+            priority: spec.priority,
+            traffic: TrafficState::new(spec.traffic, rng),
+            retry: RetryState::new(),
+            num_pbs: spec.num_pbs,
+            pb_error_prob: spec.pb_error_prob,
+            retx: std::collections::VecDeque::new(),
+            tei: spec.tei,
+            dst: spec.dst,
+            frozen: false,
+        }
+    }
+
     /// Fresh frames queued or errored PBs awaiting retransmission.
     #[inline]
-    fn backlogged(&self) -> bool {
+    pub(crate) fn backlogged(&self) -> bool {
         self.traffic.has_frame() || !self.retx.is_empty()
     }
 
@@ -270,6 +347,177 @@ impl<P> StationCtx<P> {
     #[inline]
     fn contends(&self) -> bool {
         !self.frozen && self.backlogged()
+    }
+
+    /// The TEI this station, index `i`, stamps into its SoFs and SACKs.
+    pub(crate) fn tei(&self, i: StationId) -> Tei {
+        self.tei.unwrap_or_else(|| Tei::station(i as u32))
+    }
+
+    /// The SoF delimiter this station, index `i` of `n`, puts on the wire
+    /// at `frame_length`, `remaining` MPDUs following in the burst.
+    pub(crate) fn sof(
+        &self,
+        i: StationId,
+        n: usize,
+        frame_length: Microseconds,
+        remaining: usize,
+    ) -> SofDelimiter {
+        // Frame-length field is in 1.28 µs units.
+        let fl = (frame_length.as_micros() / 1.28).round();
+        SofDelimiter {
+            src: self.tei(i),
+            // Destination D: one past the senders.
+            dst: self.dst.unwrap_or_else(|| Tei::station(n as u32)),
+            priority: self.priority,
+            mpdu_cnt: remaining as u8,
+            num_pbs: self.num_pbs,
+            fl_units: fl.min(u16::MAX as f64) as u16,
+        }
+    }
+
+    /// The per-MPDU channel outcome of winning burst `b`, at
+    /// selective-ACK granularity: errored-PB retransmissions go first,
+    /// then fresh frames. Unless `b` is jammed, each PB errors with the
+    /// station's PB error probability (its override, else
+    /// `default_p`), drawn from `rng` under `pb_draw`. Fills `outcomes`
+    /// with each MPDU's (PBs, errored PBs), credits `metrics`, queues
+    /// errored PBs for retransmission, and returns the fresh frames
+    /// consumed and the clean fresh MPDUs `record_success` credits.
+    #[inline]
+    pub(crate) fn deliver(
+        &mut self,
+        b: &Burst,
+        default_p: f64,
+        rng: &mut SmallRng,
+        pb_draw: Option<&plc_obs::SpanTimer>,
+        metrics: &mut Metrics,
+        outcomes: &mut Vec<(u16, u16)>,
+    ) -> (usize, usize) {
+        let p_err = self.pb_error_prob.unwrap_or(default_p);
+        let w = b.station;
+        let mut fresh_consumed = 0usize;
+        let mut clean_mpdus = 0usize;
+        outcomes.clear();
+        for _ in 0..b.mpdus {
+            let (pbs, is_fresh) = match self.retx.pop_front() {
+                Some(pbs) => (pbs, false),
+                None => {
+                    fresh_consumed += 1;
+                    (self.num_pbs, true)
+                }
+            };
+            let errored = if b.jammed {
+                pbs
+            } else if p_err == 0.0 {
+                0
+            } else {
+                let _draw_span = pb_draw.map(|t| t.start());
+                (0..pbs)
+                    .filter(|_| rand::Rng::gen::<f64>(rng) < p_err)
+                    .count() as u16
+            };
+            outcomes.push((pbs, errored));
+            let s = &mut metrics.per_station[w];
+            s.pbs_delivered += (pbs - errored) as u64;
+            s.pbs_errored += errored as u64;
+            metrics.payload_delivered_us +=
+                b.frame_length.as_micros() * (pbs - errored) as f64 / self.num_pbs as f64;
+            if errored == 0 {
+                metrics.frames_completed += 1;
+                metrics.per_station[w].frames_completed += 1;
+                if is_fresh {
+                    // A fresh full MPDU through error-free: the clean
+                    // delivery `record_success` credits.
+                    clean_mpdus += 1;
+                } else {
+                    // A retransmission that finished the frame is a
+                    // partial MPDU delivery, not a clean full MPDU.
+                    metrics.per_station[w].mpdus_partial += 1;
+                }
+            } else {
+                self.retx.push_back(errored);
+                metrics.per_station[w].mpdus_partial += 1;
+            }
+        }
+        (fresh_consumed, clean_mpdus)
+    }
+
+    /// Put winning burst `b`'s wire events on `sinks`, for this station
+    /// of `n`: one SoF per MPDU, each followed after RIFS by the SACK
+    /// that flags the MPDU's errored PBs (`outcomes`, from
+    /// [`deliver`](Self::deliver)).
+    pub(crate) fn emit_success(
+        &self,
+        b: &Burst,
+        n: usize,
+        outcomes: &[(u16, u16)],
+        sinks: &[SharedSink],
+    ) {
+        if sinks.is_empty() {
+            return;
+        }
+        let mpdu_stride = b.frame_length + RIFS + SACK;
+        for (k, &(pbs, errored)) in outcomes.iter().enumerate() {
+            let sof_t = b.start + mpdu_stride * (k as u64);
+            let mut sof = self.sof(b.station, n, b.frame_length, b.mpdus - 1 - k);
+            sof.num_pbs = pbs;
+            emit_to(
+                sinks,
+                &TraceEvent::Sof {
+                    t: sof_t,
+                    station: b.station,
+                    sof,
+                },
+            );
+            let ack_t = sof_t + PREAMBLE + b.frame_length + RIFS;
+            let mut ack = SelectiveAck::all_good(self.tei(b.station), pbs);
+            for slot in ack.pb_ok.iter_mut().take(errored as usize) {
+                *slot = false;
+            }
+            emit_to(sinks, &TraceEvent::Sack { t: ack_t, ack });
+        }
+    }
+}
+
+/// The per-object collision pass: one ascending sweep over `stations` in
+/// which each collider in `tx` (ascending) counts its failure against
+/// `retry` and either drops its head-of-line unit and restarts, or backs
+/// off, while every other contending station senses busy. Drops are
+/// counted in `metrics`. `after` sees each station once its update is
+/// done, with whether it dropped a frame.
+pub(crate) fn collision_pass<P: BackoffProcess>(
+    stations: &mut [StationCtx<P>],
+    tx: &[StationId],
+    retry: RetryPolicy,
+    rng: &mut SmallRng,
+    metrics: &mut Metrics,
+    mut after: impl FnMut(StationId, &StationCtx<P>, bool),
+) {
+    // `tx` is ascending (scan order), so a cursor replaces the O(|tx|)
+    // membership test per station.
+    let mut txi = 0usize;
+    for (i, st) in stations.iter_mut().enumerate() {
+        let mut dropped = false;
+        if txi < tx.len() && tx[txi] == i {
+            txi += 1;
+            dropped = st.retry.record_failure(retry);
+            if dropped {
+                st.retry = RetryState::new();
+                // Drop the head-of-line unit: a pending retransmission if
+                // any, else a queued frame.
+                if st.retx.pop_front().is_none() {
+                    st.traffic.consume(1);
+                }
+                st.process.reset(rng);
+                metrics.per_station[i].dropped += 1;
+            } else {
+                st.process.on_tx_failure(rng);
+            }
+        } else if st.contends() {
+            st.process.on_busy(rng);
+        }
+        after(i, st, dropped);
     }
 }
 
@@ -331,7 +579,7 @@ fn next_traffic_event<P>(stations: &[StationCtx<P>]) -> f64 {
 
 /// Deliver `ev` to every sink. A free function so the busy branches can
 /// emit while they hold the contention core.
-fn emit_to(sinks: &[SharedSink], ev: &TraceEvent) {
+pub(crate) fn emit_to(sinks: &[SharedSink], ev: &TraceEvent) {
     for sink in sinks {
         sink.lock().on_event(ev);
     }
@@ -426,11 +674,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
     /// [`new`](Self::new), returning configuration problems as
     /// [`Error::InvalidConfig`] instead of panicking: an empty station
-    /// set, invalid timing, a PB error probability outside `[0, 1)`, or a
-    /// malformed noise schedule. Noise bursts are sorted by start time
-    /// here (callers may build them out of order); overlapping or
-    /// non-finite bursts are rejected since both would corrupt the
-    /// monotone noise cursor and the fast-forward clamp.
+    /// set, or anything [`EngineConfig`]'s check rejects (invalid timing,
+    /// a PB error probability outside `[0, 1)`, a malformed noise
+    /// schedule). Noise bursts are sorted by start time here, so callers
+    /// may build them out of order.
     pub fn try_new(
         mut cfg: EngineConfig,
         stations: Vec<StationSpec<P>>,
@@ -439,54 +686,12 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         if stations.is_empty() {
             return Err(Error::invalid_config("need at least one station"));
         }
-        if !cfg.timing.is_valid() {
-            return Err(Error::invalid_config("invalid MacTiming"));
-        }
-        if !(0.0..1.0).contains(&cfg.pb_error_prob) {
-            return Err(Error::invalid_config(
-                "PB error probability must be in [0, 1)",
-            ));
-        }
-        for b in &cfg.noise {
-            if !(b.start_us.is_finite() && b.duration_us.is_finite())
-                || b.start_us < 0.0
-                || b.duration_us < 0.0
-            {
-                return Err(Error::invalid_config(format!(
-                    "noise burst (start {} µs, duration {} µs) must have \
-                     finite, non-negative start and duration",
-                    b.start_us, b.duration_us
-                )));
-            }
-        }
-        cfg.noise.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        for w in cfg.noise.windows(2) {
-            if w[1].start_us < w[0].end_us() {
-                return Err(Error::invalid_config(format!(
-                    "noise bursts overlap: [{}, {}) and [{}, {}) µs",
-                    w[0].start_us,
-                    w[0].end_us(),
-                    w[1].start_us,
-                    w[1].end_us()
-                )));
-            }
-        }
+        cfg.check()?;
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = stations.len();
         let stations: Vec<StationCtx<P>> = stations
             .into_iter()
-            .map(|s| StationCtx {
-                process: s.process,
-                priority: s.priority,
-                traffic: TrafficState::new(s.traffic, &mut rng),
-                retry: RetryState::new(),
-                num_pbs: s.num_pbs,
-                pb_error_prob: s.pb_error_prob,
-                retx: std::collections::VecDeque::new(),
-                tei: s.tei,
-                dst: s.dst,
-                frozen: false,
-            })
+            .map(|s| StationCtx::new(s, &mut rng))
             .collect();
         let next_beacon = cfg
             .beacons
@@ -673,21 +878,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// Number of stations.
     pub fn num_stations(&self) -> usize {
         self.stations.len()
-    }
-
-    /// Sample how many of `pbs` physical blocks error on a channel whose
-    /// PB error probability `p` is positive (the success arm answers
-    /// `p = 0` itself, without a draw).
-    fn sample_pb_errors(&mut self, p: f64, pbs: u16) -> u16 {
-        debug_assert!(p > 0.0, "an error-free channel draws nothing");
-        let _draw_span = self.timers.as_ref().map(|t| t.pb_draw.start());
-        let mut errored = 0u16;
-        for _ in 0..pbs {
-            if rand::Rng::gen::<f64>(&mut self.rng) < p {
-                errored += 1;
-            }
-        }
-        errored
     }
 
     /// Whether an impulse-noise burst is active at `t`. Advances a
@@ -889,32 +1079,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
     fn emit(&mut self, ev: TraceEvent) {
         emit_to(&self.sinks, &ev);
-    }
-
-    /// The SoF delimiter station `i` puts on the wire, `remaining` MPDUs
-    /// following in the burst.
-    fn sof_for(&self, i: StationId, remaining: usize) -> SofDelimiter {
-        let st = &self.stations[i];
-        // Frame-length field is in 1.28 µs units.
-        let fl = (self.cfg.timing.frame_length.as_micros() / 1.28).round();
-        SofDelimiter {
-            src: self.tei_of(i),
-            // Destination D: one past the senders.
-            dst: st
-                .dst
-                .unwrap_or_else(|| Tei::station(self.stations.len() as u32)),
-            priority: st.priority,
-            mpdu_cnt: remaining as u8,
-            num_pbs: st.num_pbs,
-            fl_units: fl.min(u16::MAX as f64) as u16,
-        }
-    }
-
-    /// The TEI station `i` stamps into its SoFs and SACKs.
-    fn tei_of(&self, i: StationId) -> Tei {
-        self.stations[i]
-            .tei
-            .unwrap_or_else(|| Tei::station(i as u32))
     }
 
     /// Execute one step: idle slot, success or collision. Advances
@@ -1132,80 +1296,28 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 let available = retx_ready.saturating_add(fresh_ready).min(MAX_BURST);
                 let burst = self.cfg.burst.draw(&mut self.rng, available);
                 let dur = self.cfg.timing.burst_duration(burst);
-                // Impulse noise wipes every PB of the transmission without
-                // consuming channel-RNG draws (the fault layer never
-                // touches simulation streams).
-                let jammed = self.noise_active(t0);
-                // The winner's PB error probability: its per-link
-                // override, else the global one.
-                let p_err = self.stations[w]
-                    .pb_error_prob
-                    .unwrap_or(self.cfg.pb_error_prob);
-
-                // Per-MPDU channel outcome (selective-ACK granularity).
-                let mut fresh_consumed = 0usize;
-                let mut clean_mpdus = 0usize;
-                let mut outcomes = std::mem::take(&mut self.outcome_buf); // (pbs, errored)
-                outcomes.clear();
-                for _ in 0..burst {
-                    let (pbs, is_fresh) = match self.stations[w].retx.pop_front() {
-                        Some(pbs) => (pbs, false),
-                        None => {
-                            fresh_consumed += 1;
-                            (self.stations[w].num_pbs, true)
-                        }
-                    };
-                    let errored = if jammed {
-                        pbs
-                    } else if p_err == 0.0 {
-                        0
-                    } else {
-                        self.sample_pb_errors(p_err, pbs)
-                    };
-                    outcomes.push((pbs, errored));
-                    let s = &mut self.metrics.per_station[w];
-                    s.pbs_delivered += (pbs - errored) as u64;
-                    s.pbs_errored += errored as u64;
-                    self.metrics.payload_delivered_us += self.cfg.timing.frame_length.as_micros()
-                        * (pbs - errored) as f64
-                        / self.stations[w].num_pbs as f64;
-                    if errored == 0 {
-                        self.metrics.frames_completed += 1;
-                        self.metrics.per_station[w].frames_completed += 1;
-                        if is_fresh {
-                            // A fresh full MPDU through error-free: the
-                            // clean delivery `record_success` credits.
-                            clean_mpdus += 1;
-                        } else {
-                            // A retransmission that finished the frame is a
-                            // partial MPDU delivery, not a clean full MPDU.
-                            self.metrics.per_station[w].mpdus_partial += 1;
-                        }
-                    } else {
-                        self.stations[w].retx.push_back(errored);
-                        self.metrics.per_station[w].mpdus_partial += 1;
-                    }
-                }
-
+                let b = Burst {
+                    station: w,
+                    mpdus: burst,
+                    start: t0,
+                    frame_length: self.cfg.timing.frame_length,
+                    // Impulse noise wipes every PB of the transmission
+                    // without consuming channel-RNG draws (the fault layer
+                    // never touches simulation streams).
+                    jammed: self.noise_active(t0),
+                };
+                let mut outcomes = std::mem::take(&mut self.outcome_buf);
+                let (fresh_consumed, clean_mpdus) = self.stations[w].deliver(
+                    &b,
+                    self.cfg.pb_error_prob,
+                    &mut self.rng,
+                    self.timers.as_ref().map(|t| &t.pb_draw),
+                    &mut self.metrics,
+                    &mut outcomes,
+                );
                 if self.cfg.emit_wire_events && emitting {
-                    // One SoF per MPDU; SACK follows each payload after RIFS.
-                    let mpdu_stride = self.cfg.timing.frame_length + RIFS + SACK;
-                    for (k, &(pbs, errored)) in outcomes.iter().enumerate() {
-                        let sof_t = t0 + mpdu_stride * (k as u64);
-                        let mut sof = self.sof_for(w, burst - 1 - k);
-                        sof.num_pbs = pbs;
-                        self.emit(TraceEvent::Sof {
-                            t: sof_t,
-                            station: w,
-                            sof,
-                        });
-                        let ack_t = sof_t + PREAMBLE + self.cfg.timing.frame_length + RIFS;
-                        let mut ack = SelectiveAck::all_good(self.tei_of(w), pbs);
-                        for slot in ack.pb_ok.iter_mut().take(errored as usize) {
-                            *slot = false;
-                        }
-                        self.emit(TraceEvent::Sack { t: ack_t, ack });
-                    }
+                    let n = self.stations.len();
+                    self.stations[w].emit_success(&b, n, &outcomes, &self.sinks);
                 }
 
                 // Winner resets; everyone else with traffic sensed busy.
@@ -1306,11 +1418,13 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 if self.cfg.emit_wire_events && emitting {
                     // The colliding bursts overlap in time; emit MPDU slot
                     // by MPDU slot so capture timestamps stay monotone.
-                    let mpdu_stride = self.cfg.timing.frame_length + RIFS + SACK;
+                    let n = self.stations.len();
+                    let frame_length = self.cfg.timing.frame_length;
+                    let mpdu_stride = frame_length + RIFS + SACK;
                     for k in 0..max_burst {
                         for &(i, burst) in bursts.iter().filter(|&&(_, b)| b > k) {
                             let sof_t = t0 + mpdu_stride * (k as u64);
-                            let sof = self.sof_for(i, burst - 1 - k);
+                            let sof = self.stations[i].sof(i, n, frame_length, burst - 1 - k);
                             self.emit(TraceEvent::Sof {
                                 t: sof_t,
                                 station: i,
@@ -1319,14 +1433,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                         }
                         // The destination decodes the robust delimiters and
                         // acknowledges with every PB flagged errored.
-                        let ack_t = t0
-                            + mpdu_stride * (k as u64)
-                            + PREAMBLE
-                            + self.cfg.timing.frame_length
-                            + RIFS;
+                        let ack_t = t0 + mpdu_stride * (k as u64) + PREAMBLE + frame_length + RIFS;
                         for &(i, _) in bursts.iter().filter(|&&(_, b)| b > k) {
-                            let ack =
-                                SelectiveAck::all_errored(self.tei_of(i), self.stations[i].num_pbs);
+                            let st = &self.stations[i];
+                            let ack = SelectiveAck::all_errored(st.tei(i), st.num_pbs);
                             self.emit(TraceEvent::Sack { t: ack_t, ack });
                         }
                     }
@@ -1355,40 +1465,26 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                         &mut min_bc,
                     );
                 } else {
-                    // `tx` is ascending (scan order), so a cursor replaces
-                    // the O(|tx|) membership test per station.
-                    let mut txi = 0usize;
-                    for i in 0..self.stations.len() {
-                        if txi < tx.len() && tx[txi] == i {
-                            txi += 1;
-                            let dropped = self.stations[i].retry.record_failure(self.cfg.retry);
+                    let sinks = &self.sinks;
+                    collision_pass(
+                        &mut self.stations,
+                        &tx,
+                        self.cfg.retry,
+                        &mut self.rng,
+                        &mut self.metrics,
+                        |i, st, dropped| {
                             if dropped {
-                                self.stations[i].retry = RetryState::new();
-                                // Drop the head-of-line unit: a pending
-                                // retransmission if any, else a queued frame.
-                                if self.stations[i].retx.pop_front().is_none() {
-                                    self.stations[i].traffic.consume(1);
-                                }
-                                self.stations[i].process.reset(&mut self.rng);
-                                self.metrics.per_station[i].dropped += 1;
-                                self.emit(TraceEvent::FrameDropped { t: t0, station: i });
-                            } else {
-                                self.stations[i].process.on_tx_failure(&mut self.rng);
+                                emit_to(sinks, &TraceEvent::FrameDropped { t: t0, station: i });
                             }
-                        } else if self.stations[i].contends() {
-                            self.stations[i].process.on_busy(&mut self.rng);
-                        }
-                        if TRACK {
-                            let st = &self.stations[i];
-                            if st.contends() {
+                            if TRACK && st.contends() {
                                 match st.process.idle_skip() {
                                     Some(0) => zero.push(i),
                                     Some(bc) => min_bc = min_bc.min(bc),
                                     None => poisoned = true,
                                 }
                             }
-                        }
-                    }
+                        },
+                    );
                 }
 
                 self.t += dur;
@@ -1440,15 +1536,26 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// guaranteed-idle slots are absorbed in one jump per run. Per-slot
     /// snapshots ([`EngineConfig::emit_snapshots`]) and attached
     /// observers force per-slot stepping, since both need every step
-    /// materialized.
+    /// materialized. An installed [`EngineConfig::cancel`] token is
+    /// polled once per slot.
     pub fn run(&mut self) -> &Metrics {
-        // Cancellable runs poll the token once per slot in dedicated
-        // loops; the common no-token case falls through to the exact
-        // pre-cancellation loops below, keeping cancellation support
-        // zero-cost when unused.
-        if self.cfg.cancel.is_some() {
-            return self.run_cancellable();
+        match self.cfg.cancel.clone() {
+            None => self.run_until(|| false),
+            Some(token) => self.run_until(|| token.is_cancelled()),
         }
+        &self.metrics
+    }
+
+    /// [`run`](Self::run)'s loops, leaving early once `cancelled` says so.
+    /// Each poll compiles its own instance, so without a token the
+    /// constant `false` folds away and the loops carry no check: the body
+    /// is kept out of line for that. Idle runs are still absorbed in a
+    /// single fast-forward jump before the next poll, so cancellation
+    /// latency is bounded by one busy slot plus one idle run, and a run
+    /// whose token never fires performs the same mutations in the same
+    /// order as one without a token.
+    #[inline(never)]
+    fn run_until(&mut self, cancelled: impl Fn() -> bool) {
         let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots && self.observers.is_empty();
         // External `step()` calls may have mutated station state since the
         // cache was last folded.
@@ -1458,14 +1565,14 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         // observability support.
         if self.timers.is_none() && self.observers.is_empty() {
             if fast {
-                while self.t <= self.cfg.horizon {
+                while self.t <= self.cfg.horizon && !cancelled() {
                     if self.fast_forward_idle() == 0 {
                         self.step_inner::<true>();
                         self.steps += 1;
                     }
                 }
             } else {
-                while self.t <= self.cfg.horizon {
+                while self.t <= self.cfg.horizon && !cancelled() {
                     self.step_inner::<false>();
                     self.steps += 1;
                 }
@@ -1481,7 +1588,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             let started = std::time::Instant::now();
             let mut stepped = 0u64;
             let mut ff_time = std::time::Duration::ZERO;
-            while self.t <= self.cfg.horizon {
+            while self.t <= self.cfg.horizon && !cancelled() {
                 if self.fast_forward_timed(&mut ff_time) > 0 {
                     continue;
                 }
@@ -1495,66 +1602,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 t.steps.add(stepped);
             }
         } else {
-            while self.t <= self.cfg.horizon {
+            while self.t <= self.cfg.horizon && !cancelled() {
                 self.step_instrumented::<false>();
             }
         }
-        &self.metrics
-    }
-
-    /// The cancellable mirror of [`run`](Self::run): the same four
-    /// hoisted loop variants with one extra condition — an acquire load
-    /// of the [`EngineConfig::cancel`] token — per slot. Idle runs are
-    /// still absorbed in a single fast-forward jump before the next
-    /// poll, so cancellation latency is bounded by one busy slot plus
-    /// one idle run. A run whose token never fires performs the same
-    /// mutations in the same order as [`run`](Self::run) and is
-    /// bit-identical to it.
-    fn run_cancellable(&mut self) -> &Metrics {
-        let token = self
-            .cfg
-            .cancel
-            .clone()
-            .expect("run_cancellable requires an installed token");
-        let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots && self.observers.is_empty();
-        self.hint_valid = false;
-        if self.timers.is_none() && self.observers.is_empty() {
-            if fast {
-                while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                    if self.fast_forward_idle() == 0 {
-                        self.step_inner::<true>();
-                        self.steps += 1;
-                    }
-                }
-            } else {
-                while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                    self.step_inner::<false>();
-                    self.steps += 1;
-                }
-            }
-        } else if fast {
-            let started = std::time::Instant::now();
-            let mut stepped = 0u64;
-            let mut ff_time = std::time::Duration::ZERO;
-            while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                if self.fast_forward_timed(&mut ff_time) > 0 {
-                    continue;
-                }
-                self.step_inner::<true>();
-                self.steps += 1;
-                stepped += 1;
-            }
-            if let Some(t) = &self.timers {
-                t.step
-                    .record_many(stepped, started.elapsed().saturating_sub(ff_time));
-                t.steps.add(stepped);
-            }
-        } else {
-            while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                self.step_instrumented::<false>();
-            }
-        }
-        &self.metrics
     }
 
     /// [`fast_forward_idle`](Self::fast_forward_idle) under the

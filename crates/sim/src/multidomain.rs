@@ -32,7 +32,32 @@
 //!   lowest cell index) executes one step at a time. The coordinator
 //!   deliberately per-slot-steps (no idle fast-forward): a jump could
 //!   skip straight over a foreign transmission that should have been
-//!   sensed.
+//!   sensed. It polls [`Simulation::cancel`]'s token before every
+//!   action, as the engine polls once per slot.
+//!
+//! # What the coordinator owns, and what it calls
+//!
+//! The coordinator keeps only what is cross-cell: the earliest-event
+//! schedule, the transmission records other cells sense and are jammed
+//! by, cell-wide sensing and deferral, the jam decision, committing a
+//! success when its burst ends, per-station burst timing, and the wire
+//! order of a collision (each collider's SoF, then its SACK, per MPDU
+//! slot). Everything per station comes from the engine:
+//!
+//! * cells hold the engine's station record, built from the same
+//!   [`Simulation`] builder method as [`Simulation::try_build`] and
+//!   isolated cells, so a cell seeds exactly as a single-domain run; a
+//!   station's global id is its entry in the cell's `members`;
+//! * the configuration is checked once, before any component runs, by
+//!   the engine's own check (timing, PB error range, noise schedule);
+//! * a success's per-MPDU delivery and SoF/SACK stamp, and a
+//!   collision's per-object pass, are the engine functions its success
+//!   arm and per-object collision arm call.
+//!
+//! Coupled cells do not become [`SlottedEngine`]s: a coupled cell
+//! commits a success when its burst ends, defers as a unit to foreign
+//! transmissions and times bursts per station, and teaching the engine
+//! all three would make it branch on its caller.
 //!
 //! # Sensing and jamming semantics
 //!
@@ -63,34 +88,34 @@
 //!
 //! # Traces
 //!
-//! With sinks attached, each cell buffers its events and the buffers are
-//! flushed to the user's sinks in global cell order after the run —
-//! deterministic for any `domain_workers` count. `station` fields carry
-//! *global* station ids; TEIs inside SoF/SACK payloads stay cell-local,
-//! mirroring the standard's per-AVLN TEI assignment.
+//! With sinks attached, every cell — on the engine or the coordinator —
+//! emits into its own [`VecTraceSink`] buffer with cell-local `station`
+//! ids. After the run the ids are mapped to *global* station ids and the
+//! buffers are flushed to the user's sinks in global cell order —
+//! deterministic for any `domain_workers` count. TEIs inside SoF/SACK
+//! payloads stay cell-local, mirroring the standard's per-AVLN TEI
+//! assignment.
 
 use crate::batch::BatchRunner;
-use crate::engine::{check_default_teis, EngineConfig, SlottedEngine, StationSpec};
+use crate::engine::{
+    check_default_teis, collision_pass, emit_to, Burst, EngineConfig, SharedSink, SlottedEngine,
+    StationCtx,
+};
 use crate::metrics::Metrics;
 use crate::runner::{SimReport, Simulation};
 use crate::topology::Topology;
 use crate::trace::{TraceEvent, VecTraceSink};
-use crate::traffic::TrafficState;
 use parking_lot::Mutex;
-use plc_core::addr::Tei;
 use plc_core::error::{Error, Result};
-use plc_core::frame::{SelectiveAck, SofDelimiter};
-use plc_core::priority::Priority;
+use plc_core::frame::SelectiveAck;
 use plc_core::timing::{MacTiming, MAX_BURST, PREAMBLE, RIFS, SACK};
 use plc_core::units::Microseconds;
 use plc_mac::process::BackoffProcess;
-use plc_mac::process::Protocol;
 use plc_mac::retry::RetryState;
-use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
+use plc_mac::AnyBackoff;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Report of a multi-domain run: the merged network-wide view plus the
@@ -163,25 +188,10 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
     if !sim.observers.is_empty() {
         return Err(reject("periodic observers"));
     }
-    if !(0.0..1.0).contains(&sim.pb_error_prob) {
-        return Err(Error::invalid_config(
-            "PB error probability must be in [0, 1)",
-        ));
-    }
-    if !sim.timing.is_valid() {
-        return Err(Error::invalid_config("invalid MacTiming"));
-    }
-    for w in sim.noise.windows(2) {
-        if w[1].start_us < w[0].end_us() {
-            return Err(Error::invalid_config(format!(
-                "noise bursts overlap: [{}, {}) and [{}, {}) µs",
-                w[0].start_us,
-                w[0].end_us(),
-                w[1].start_us,
-                w[1].end_us()
-            )));
-        }
-    }
+    // Every component runs under this configuration: the engine's check
+    // rejects it (and sorts its noise schedule) before any cell runs.
+    let (_, mut cfg) = sim.engine_parts(0, sim.seed, sim.timing);
+    cfg.check()?;
 
     let emitting = !sim.sinks.is_empty();
     if emitting {
@@ -195,7 +205,7 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
     let outs: Vec<Result<ComponentOut>> = BatchRunner::new()
         .workers(sim.domain_workers)
         .run(components, |_, comp, _| {
-            run_component(sim, topo, &comp, emitting)
+            run_component(sim, topo, &cfg, &comp, emitting)
         });
 
     let mut global = Metrics::new(topo.num_stations());
@@ -210,9 +220,7 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
         for c in out.cells {
             global.absorb_cell(&c.metrics, &c.members);
             cell_reports[c.cell] = Some(SimReport::from_metrics(c.metrics, c.frame_length));
-            if emitting {
-                buffered.push((c.cell, c.events));
-            }
+            buffered.push((c.cell, c.events));
         }
     }
     if emitting {
@@ -220,9 +228,7 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
         buffered.sort_by_key(|&(c, _)| c);
         for (_, events) in &buffered {
             for ev in events {
-                for sink in &sim.sinks {
-                    sink.lock().on_event(ev);
-                }
+                emit_to(&sim.sinks, ev);
             }
         }
     }
@@ -249,6 +255,7 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
 fn run_component(
     sim: &Simulation,
     topo: &Topology,
+    cfg: &EngineConfig,
     comp: &[usize],
     emitting: bool,
 ) -> Result<ComponentOut> {
@@ -260,82 +267,22 @@ fn run_component(
             return run_isolated(sim, topo, comp[0], derived[0], emitting);
         }
     }
-    Coordinator::new(sim, topo, comp, emitting)?.run()
+    Ok(Coordinator::new(sim, topo, cfg, comp, emitting).run())
 }
 
-/// A single uncoupled cell with uniform timing: exactly the legacy
-/// engine, at full struct-of-arrays + fast-forward speed.
-fn run_isolated(
-    sim: &Simulation,
-    topo: &Topology,
-    cell: usize,
-    derived: Option<MacTiming>,
-    emitting: bool,
-) -> Result<ComponentOut> {
-    let members = topo.cell_members(cell);
-    let seed = cell_seed(sim, topo, cell);
-    let mut proc_rng =
-        SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-    let stations: Vec<StationSpec<AnyBackoff>> = members
-        .iter()
-        .map(|_| {
-            let process: AnyBackoff = match sim.protocol {
-                Protocol::Ieee1901 => Backoff1901::new(sim.config.clone(), &mut proc_rng).into(),
-                Protocol::Dcf80211 => BackoffDcf::new(sim.config.clone(), &mut proc_rng).into(),
-            };
-            StationSpec {
-                traffic: sim.traffic,
-                ..StationSpec::saturated(process)
-            }
-        })
-        .collect();
-    let timing = derived.unwrap_or(sim.timing);
-    let cfg = EngineConfig {
-        timing,
-        horizon: sim.horizon,
-        burst: sim.burst,
-        retry: sim.retry,
-        pb_error_prob: sim.pb_error_prob,
-        emit_snapshots: false,
-        emit_wire_events: true,
-        beacons: None,
-        noise: sim.noise.clone(),
-        fast_forward: sim.fast_forward,
-        soa: sim.soa,
-        cancel: sim.cancel.clone(),
-    };
-    let mut engine = SlottedEngine::try_new(cfg, stations, seed)?;
-    if let Some(reg) = &sim.registry {
-        engine.instrument(reg)?;
-    }
-    let buffer = emitting.then(|| Arc::new(Mutex::new(VecTraceSink::new())));
-    if let Some(buf) = &buffer {
-        engine.add_sink(buf.clone());
-    }
-    engine.run();
-    let metrics = engine.metrics().clone();
-    drop(engine);
+/// A cell's trace buffer, when the run has sinks.
+fn trace_buffer(emitting: bool) -> Option<Arc<Mutex<VecTraceSink>>> {
+    emitting.then(|| Arc::new(Mutex::new(VecTraceSink::new())))
+}
+
+/// The events a cell buffered, with its cell-local station ids mapped to
+/// global ids. TEIs inside the SoF/SACK payloads stay cell-local
+/// (per-AVLN semantics).
+fn cell_events(buffer: Option<Arc<Mutex<VecTraceSink>>>, members: &[usize]) -> Vec<TraceEvent> {
     let mut events = buffer
         .map(|buf| std::mem::take(&mut buf.lock().events))
         .unwrap_or_default();
-    remap_station_ids(&mut events, &members);
-    Ok(ComponentOut {
-        cells: vec![CellOut {
-            cell,
-            members,
-            metrics,
-            frame_length: timing.frame_length,
-            events,
-        }],
-        jammed_tx: 0,
-        sensed_defers: 0,
-    })
-}
-
-/// Rewrite cell-local `station` ids to global ids. TEIs inside the
-/// SoF/SACK payloads are left cell-local (per-AVLN semantics).
-fn remap_station_ids(events: &mut [TraceEvent], members: &[usize]) {
-    for ev in events {
+    for ev in &mut events {
         match ev {
             TraceEvent::Sof { station, .. }
             | TraceEvent::Success { station, .. }
@@ -349,27 +296,43 @@ fn remap_station_ids(events: &mut [TraceEvent], members: &[usize]) {
             TraceEvent::IdleSlot { .. } | TraceEvent::Beacon { .. } | TraceEvent::Sack { .. } => {}
         }
     }
+    events
 }
 
-struct CoStation {
-    process: AnyBackoff,
-    traffic: TrafficState,
-    retry: RetryState,
-    /// PB counts of partially-errored MPDUs awaiting selective
-    /// retransmission (FIFO, serviced before fresh frames) — the legacy
-    /// engine's `retx` queue.
-    retx: VecDeque<u16>,
-    num_pbs: u16,
-    /// This station's transmit timing (link-derived or the simulation's).
-    timing: MacTiming,
-    /// Global station id.
-    global: usize,
-}
-
-impl CoStation {
-    fn backlogged(&self) -> bool {
-        self.traffic.has_frame() || !self.retx.is_empty()
+/// A single uncoupled cell with uniform timing: exactly the legacy
+/// engine, at full struct-of-arrays + fast-forward speed.
+fn run_isolated(
+    sim: &Simulation,
+    topo: &Topology,
+    cell: usize,
+    derived: Option<MacTiming>,
+    emitting: bool,
+) -> Result<ComponentOut> {
+    let members = topo.cell_members(cell);
+    let seed = cell_seed(sim, topo, cell);
+    let timing = derived.unwrap_or(sim.timing);
+    let (stations, cfg) = sim.engine_parts(members.len(), seed, timing);
+    let mut engine = SlottedEngine::try_new(cfg, stations, seed)?;
+    if let Some(reg) = &sim.registry {
+        engine.instrument(reg)?;
     }
+    let buffer = trace_buffer(emitting);
+    if let Some(buf) = &buffer {
+        engine.add_sink(buf.clone());
+    }
+    engine.run();
+    let metrics = engine.metrics().clone();
+    Ok(ComponentOut {
+        cells: vec![CellOut {
+            cell,
+            events: cell_events(buffer, &members),
+            members,
+            metrics,
+            frame_length: timing.frame_length,
+        }],
+        jammed_tx: 0,
+        sensed_defers: 0,
+    })
 }
 
 /// One in-flight successful transmission, committed at `end`.
@@ -398,18 +361,23 @@ struct TxRecord {
 struct CoCell {
     /// Global cell index.
     id: usize,
+    /// Global station ids, by cell-local station index.
     members: Vec<usize>,
-    stations: Vec<CoStation>,
+    stations: Vec<StationCtx<AnyBackoff>>,
+    /// Each station's transmit timing (link-derived or the simulation's).
+    timing: Vec<MacTiming>,
     rng: SmallRng,
     /// Local clock (µs).
     t: f64,
     slot: f64,
     metrics: Metrics,
-    events: Vec<TraceEvent>,
+    /// The cell's trace buffer, and the sink list that feeds it: events
+    /// carry cell-local station ids until [`cell_events`] maps them.
+    buffer: Option<Arc<Mutex<VecTraceSink>>>,
+    sinks: Vec<SharedSink>,
     pending: Option<PendingTx>,
     /// Scratch: contenders of the current slot (local ids, ascending).
     tx_buf: Vec<usize>,
-    frame_length: Microseconds,
 }
 
 impl CoCell {
@@ -419,7 +387,7 @@ impl CoCell {
 }
 
 struct Coordinator<'a> {
-    sim: &'a Simulation,
+    cfg: &'a EngineConfig,
     topo: &'a Topology,
     cells: Vec<CoCell>,
     /// Cell-level sense coupling, component-local indices.
@@ -427,67 +395,48 @@ struct Coordinator<'a> {
     records: Vec<TxRecord>,
     /// Records before this index can never be sensed or jam again.
     alive_from: usize,
-    horizon: f64,
-    emitting: bool,
     jammed_tx: u64,
     sensed_defers: u64,
 }
 
 impl<'a> Coordinator<'a> {
     fn new(
-        sim: &'a Simulation,
+        sim: &Simulation,
         topo: &'a Topology,
+        cfg: &'a EngineConfig,
         comp: &[usize],
         emitting: bool,
-    ) -> Result<Self> {
+    ) -> Self {
         let mut cells = Vec::with_capacity(comp.len());
         for &c in comp {
             let members = topo.cell_members(c);
             let seed = cell_seed(sim, topo, c);
-            // Mirror the legacy builder's seeding exactly: processes from
-            // the golden-ratio-mixed stream, traffic from the raw seed.
-            let mut proc_rng =
-                SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+            let (specs, _) = sim.engine_parts(members.len(), seed, sim.timing);
+            // The engine's seeding: traffic from the raw seed.
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut stations = Vec::with_capacity(members.len());
-            for &g in &members {
-                let process: AnyBackoff = match sim.protocol {
-                    Protocol::Ieee1901 => {
-                        Backoff1901::new(sim.config.clone(), &mut proc_rng).into()
-                    }
-                    Protocol::Dcf80211 => BackoffDcf::new(sim.config.clone(), &mut proc_rng).into(),
-                };
-                let timing = topo.station_timing(g).unwrap_or(sim.timing);
-                if !timing.is_valid() {
-                    return Err(Error::invalid_config(format!(
-                        "station {g}'s link-derived timing is invalid"
-                    )));
-                }
-                stations.push(CoStation {
-                    process,
-                    traffic: TrafficState::new(sim.traffic, &mut rng),
-                    retry: RetryState::new(),
-                    retx: VecDeque::new(),
-                    num_pbs: 4,
-                    timing,
-                    global: g,
-                });
-            }
-            let slot = stations[0].timing.slot.as_micros();
-            let frame_length = stations[0].timing.frame_length;
-            let n_local = members.len();
+            let stations: Vec<_> = specs
+                .into_iter()
+                .map(|s| StationCtx::new(s, &mut rng))
+                .collect();
+            let timing: Vec<MacTiming> = members
+                .iter()
+                .map(|&g| topo.station_timing(g).unwrap_or(sim.timing))
+                .collect();
+            let buffer = trace_buffer(emitting);
+            let sinks = buffer.iter().map(|b| b.clone() as SharedSink).collect();
             cells.push(CoCell {
                 id: c,
+                slot: timing[0].slot.as_micros(),
+                metrics: Metrics::new(members.len()),
                 members,
                 stations,
+                timing,
                 rng,
                 t: 0.0,
-                slot,
-                metrics: Metrics::new(n_local),
-                events: Vec::new(),
+                buffer,
+                sinks,
                 pending: None,
                 tx_buf: Vec::new(),
-                frame_length,
             });
         }
         let k = comp.len();
@@ -502,28 +451,32 @@ impl<'a> Coordinator<'a> {
                 }
             }
         }
-        Ok(Coordinator {
-            sim,
+        Coordinator {
+            cfg,
             topo,
             cells,
             sense_cc,
             records: Vec::new(),
             alive_from: 0,
-            horizon: sim.horizon.as_micros(),
-            emitting,
             jammed_tx: 0,
             sensed_defers: 0,
-        })
+        }
     }
 
-    fn run(mut self) -> Result<ComponentOut> {
+    fn run(mut self) -> ComponentOut {
+        let horizon = self.cfg.horizon.as_micros();
         loop {
+            // A fired token stops the component before its next action,
+            // as the engine stops before its next slot.
+            if self.cfg.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+                break;
+            }
             // The cell with the earliest next event acts; ties go to the
             // lowest component-local index. Cells past the horizon with
             // nothing in flight are done.
             let mut best: Option<(f64, usize)> = None;
             for (ci, cell) in self.cells.iter().enumerate() {
-                if cell.pending.is_none() && cell.t > self.horizon {
+                if cell.pending.is_none() && cell.t > horizon {
                     continue;
                 }
                 let nt = cell.next_time();
@@ -544,17 +497,17 @@ impl<'a> Coordinator<'a> {
             .into_iter()
             .map(|c| CellOut {
                 cell: c.id,
+                events: cell_events(c.buffer, &c.members),
+                frame_length: c.timing[0].frame_length,
                 members: c.members,
                 metrics: c.metrics,
-                frame_length: c.frame_length,
-                events: c.events,
             })
             .collect();
-        Ok(ComponentOut {
+        ComponentOut {
             cells: out_cells,
             jammed_tx: self.jammed_tx,
             sensed_defers: self.sensed_defers,
-        })
+        }
     }
 
     /// Drop records no cell can ever sense or be jammed by again.
@@ -573,11 +526,25 @@ impl<'a> Coordinator<'a> {
         }
     }
 
+    /// Put cell `ci`'s transmission by the global stations `txs` on the
+    /// wire, for the other cells to sense or be jammed by.
+    fn push_record(&mut self, ci: usize, start: f64, end: f64, txs: Vec<usize>) {
+        let mut sensed = vec![false; self.sense_cc.len()];
+        sensed[ci] = true;
+        self.records.push(TxRecord {
+            cell: ci,
+            start,
+            end,
+            txs,
+            sensed,
+        });
+    }
+
     /// Is an impulse-noise burst active at `t`? The simulation's noise
     /// schedule is global (mains-borne noise hits the whole wire).
     fn noise_active(&self, t: f64) -> bool {
-        let idx = self.sim.noise.partition_point(|b| b.start_us <= t);
-        idx > 0 && self.sim.noise[idx - 1].contains(t)
+        let idx = self.cfg.noise.partition_point(|b| b.start_us <= t);
+        idx > 0 && self.cfg.noise[idx - 1].contains(t)
     }
 
     /// One action for a cell with nothing in flight: defer to a sensed
@@ -633,10 +600,7 @@ impl<'a> Coordinator<'a> {
                         s.process.on_idle_slot(&mut cell.rng);
                     }
                 }
-                if self.emitting {
-                    cell.events
-                        .push(TraceEvent::IdleSlot { t: Microseconds(t) });
-                }
+                emit_to(&cell.sinks, &TraceEvent::IdleSlot { t: Microseconds(t) });
                 cell.t += cell.slot;
                 cell.metrics.idle_slots += 1;
                 cell.metrics.time_idle += Microseconds(cell.slot);
@@ -659,8 +623,8 @@ impl<'a> Coordinator<'a> {
             .len()
             .saturating_add(cell.stations[w].traffic.backlog())
             .min(MAX_BURST);
-        let burst = self.sim.burst.draw(&mut cell.rng, available);
-        let dur = cell.stations[w].timing.burst_duration(burst).as_micros();
+        let burst = self.cfg.burst.draw(&mut cell.rng, available);
+        let dur = cell.timing[w].burst_duration(burst).as_micros();
         for (i, s) in cell.stations.iter_mut().enumerate() {
             if i == w {
                 s.process.on_tx_success(&mut cell.rng);
@@ -674,28 +638,19 @@ impl<'a> Coordinator<'a> {
             start: t,
             end: t + dur,
         });
-        let n_cells = self.sense_cc.len();
-        self.records.push(TxRecord {
-            cell: ci,
-            start: t,
-            end: t + dur,
-            txs: vec![self.cells[ci].stations[w].global],
-            sensed: {
-                let mut s = vec![false; n_cells];
-                s[ci] = true;
-                s
-            },
-        });
+        let txs = vec![cell.members[w]];
+        self.push_record(ci, t, t + dur, txs);
     }
 
     /// The winner's transmission ended: now every overlapping foreign
-    /// transmission is known, so resolve the channel outcome.
+    /// transmission is known, so resolve the channel outcome and deliver
+    /// the burst as the engine does.
     fn commit(&mut self, ci: usize) {
         let p = self.cells[ci]
             .pending
             .take()
             .expect("commit needs a pending tx");
-        let winner_global = self.cells[ci].stations[p.winner].global;
+        let winner_global = self.cells[ci].members[p.winner];
         let foreign_jam = self.records[self.alive_from..].iter().any(|r| {
             r.cell != ci
                 && r.start < p.end
@@ -707,99 +662,47 @@ impl<'a> Coordinator<'a> {
         if foreign_jam {
             self.jammed_tx += 1;
         }
-        let jammed = foreign_jam || self.noise_active(p.start);
+        let b = Burst {
+            station: p.winner,
+            mpdus: p.burst,
+            start: Microseconds(p.start),
+            frame_length: self.cells[ci].timing[p.winner].frame_length,
+            jammed: foreign_jam || self.noise_active(p.start),
+        };
 
         let cell = &mut self.cells[ci];
-        let w = p.winner;
-        let t0 = Microseconds(p.start);
-        let dur = Microseconds(p.end - p.start);
-        let timing = cell.stations[w].timing;
-
-        // The legacy success branch, verbatim: retransmissions first,
-        // then fresh frames; jams error every PB without RNG draws.
-        let mut fresh_consumed = 0usize;
-        let mut clean_mpdus = 0usize;
-        let mut outcomes: Vec<(u16, u16)> = Vec::with_capacity(p.burst);
-        for _ in 0..p.burst {
-            let (pbs, is_fresh) = match cell.stations[w].retx.pop_front() {
-                Some(pbs) => (pbs, false),
-                None => {
-                    fresh_consumed += 1;
-                    (cell.stations[w].num_pbs, true)
-                }
-            };
-            let errored = if jammed {
-                pbs
-            } else if self.sim.pb_error_prob == 0.0 {
-                0
-            } else {
-                let mut e = 0u16;
-                for _ in 0..pbs {
-                    if rand::Rng::gen::<f64>(&mut cell.rng) < self.sim.pb_error_prob {
-                        e += 1;
-                    }
-                }
-                e
-            };
-            outcomes.push((pbs, errored));
-            let s = &mut cell.metrics.per_station[w];
-            s.pbs_delivered += (pbs - errored) as u64;
-            s.pbs_errored += errored as u64;
-            cell.metrics.payload_delivered_us += timing.frame_length.as_micros()
-                * (pbs - errored) as f64
-                / cell.stations[w].num_pbs as f64;
-            if errored == 0 {
-                cell.metrics.frames_completed += 1;
-                cell.metrics.per_station[w].frames_completed += 1;
-                if is_fresh {
-                    clean_mpdus += 1;
-                } else {
-                    cell.metrics.per_station[w].mpdus_partial += 1;
-                }
-            } else {
-                cell.stations[w].retx.push_back(errored);
-                cell.metrics.per_station[w].mpdus_partial += 1;
-            }
-        }
-
-        if self.emitting {
-            let mpdu_stride = timing.frame_length + RIFS + SACK;
-            for (k, &(pbs, errored)) in outcomes.iter().enumerate() {
-                let sof_t = t0 + mpdu_stride * (k as u64);
-                cell.events.push(TraceEvent::Sof {
-                    t: sof_t,
-                    station: winner_global,
-                    sof: sof_for(cell, w, p.burst - 1 - k, pbs, timing),
-                });
-                let ack_t = sof_t + PREAMBLE + timing.frame_length + RIFS;
-                let mut ack = SelectiveAck::all_good(Tei::station(w as u32), pbs);
-                for slot in ack.pb_ok.iter_mut().take(errored as usize) {
-                    *slot = false;
-                }
-                cell.events.push(TraceEvent::Sack { t: ack_t, ack });
-            }
-        }
-
-        cell.stations[w].retry = RetryState::new();
-        cell.stations[w].traffic.consume(fresh_consumed);
+        let n = cell.stations.len();
+        let st = &mut cell.stations[b.station];
+        let mut outcomes = Vec::with_capacity(b.mpdus);
+        let (fresh_consumed, clean_mpdus) = st.deliver(
+            &b,
+            self.cfg.pb_error_prob,
+            &mut cell.rng,
+            None,
+            &mut cell.metrics,
+            &mut outcomes,
+        );
+        st.emit_success(&b, n, &outcomes, &cell.sinks);
+        st.retry = RetryState::new();
+        st.traffic.consume(fresh_consumed);
         cell.t = p.end;
-        cell.metrics.record_success(w, t0, clean_mpdus);
-        cell.metrics.time_success += dur;
+        cell.metrics.record_success(b.station, b.start, clean_mpdus);
+        cell.metrics.time_success += Microseconds(p.end - p.start);
         cell.metrics.elapsed = Microseconds(cell.t);
-        if self.emitting {
-            cell.events.push(TraceEvent::Success {
-                t: t0,
-                station: winner_global,
-                burst: p.burst,
-            });
-        }
+        emit_to(
+            &cell.sinks,
+            &TraceEvent::Success {
+                t: b.start,
+                station: b.station,
+                burst: b.mpdus,
+            },
+        );
     }
 
     /// Two or more stations of one cell collide — resolved entirely at
     /// start (interference cannot change a collision), but the wreckage
     /// still radiates to neighbouring cells via a [`TxRecord`].
     fn intra_cell_collision(&mut self, ci: usize) {
-        let n_cells = self.sense_cc.len();
         let cell = &mut self.cells[ci];
         let t = cell.t;
         let t0 = Microseconds(t);
@@ -810,7 +713,7 @@ impl<'a> Coordinator<'a> {
                 let available = (cell.stations[i].retx.len()
                     + cell.stations[i].traffic.backlog().min(MAX_BURST))
                 .clamp(1, MAX_BURST);
-                (i, self.sim.burst.draw(&mut cell.rng, available))
+                (i, self.cfg.burst.draw(&mut cell.rng, available))
             })
             .collect();
         // The channel is occupied for the longest colliding burst plus
@@ -818,99 +721,130 @@ impl<'a> Coordinator<'a> {
         let dur = bursts
             .iter()
             .map(|&(i, b)| {
-                let tm = cell.stations[i].timing;
+                let tm = cell.timing[i];
                 tm.burst_duration(b).as_micros() + tm.tc.as_micros() - tm.ts.as_micros()
             })
             .fold(0.0, f64::max);
 
-        if self.emitting {
+        if !cell.sinks.is_empty() {
+            // Each collider's SoF and all-errored SACK, MPDU slot by MPDU
+            // slot, at the collider's own frame length.
+            let n = cell.stations.len();
             let max_burst = bursts.iter().map(|&(_, b)| b).max().unwrap_or(1);
             for k in 0..max_burst {
                 for &(i, burst) in bursts.iter().filter(|&&(_, b)| b > k) {
-                    let tm = cell.stations[i].timing;
-                    let stride = tm.frame_length + RIFS + SACK;
-                    let sof_t = t0 + stride * (k as u64);
-                    cell.events.push(TraceEvent::Sof {
-                        t: sof_t,
-                        station: cell.stations[i].global,
-                        sof: sof_for(cell, i, burst - 1 - k, cell.stations[i].num_pbs, tm),
-                    });
-                    let ack_t = sof_t + PREAMBLE + tm.frame_length + RIFS;
-                    cell.events.push(TraceEvent::Sack {
-                        t: ack_t,
-                        ack: SelectiveAck::all_errored(
-                            Tei::station(i as u32),
-                            cell.stations[i].num_pbs,
-                        ),
-                    });
+                    let st = &cell.stations[i];
+                    let fl = cell.timing[i].frame_length;
+                    let sof_t = t0 + (fl + RIFS + SACK) * (k as u64);
+                    let sof = st.sof(i, n, fl, burst - 1 - k);
+                    emit_to(
+                        &cell.sinks,
+                        &TraceEvent::Sof {
+                            t: sof_t,
+                            station: i,
+                            sof,
+                        },
+                    );
+                    let ack_t = sof_t + PREAMBLE + fl + RIFS;
+                    let ack = SelectiveAck::all_errored(st.tei(i), st.num_pbs);
+                    emit_to(&cell.sinks, &TraceEvent::Sack { t: ack_t, ack });
                 }
             }
         }
 
-        // The legacy per-object collision pass: colliders fail or drop,
-        // bystanders with traffic sense busy — one ascending sweep.
-        let mut txi = 0usize;
-        for i in 0..cell.stations.len() {
-            if txi < tx.len() && tx[txi] == i {
-                txi += 1;
-                let dropped = cell.stations[i].retry.record_failure(self.sim.retry);
+        let sinks = &cell.sinks;
+        collision_pass(
+            &mut cell.stations,
+            &tx,
+            self.cfg.retry,
+            &mut cell.rng,
+            &mut cell.metrics,
+            |i, _, dropped| {
                 if dropped {
-                    cell.stations[i].retry = RetryState::new();
-                    if cell.stations[i].retx.pop_front().is_none() {
-                        cell.stations[i].traffic.consume(1);
-                    }
-                    cell.stations[i].process.reset(&mut cell.rng);
-                    cell.metrics.per_station[i].dropped += 1;
-                    if self.emitting {
-                        cell.events.push(TraceEvent::FrameDropped {
-                            t: t0,
-                            station: cell.stations[i].global,
-                        });
-                    }
-                } else {
-                    cell.stations[i].process.on_tx_failure(&mut cell.rng);
+                    emit_to(sinks, &TraceEvent::FrameDropped { t: t0, station: i });
                 }
-            } else if cell.stations[i].backlogged() {
-                cell.stations[i].process.on_busy(&mut cell.rng);
-            }
-        }
+            },
+        );
 
         cell.t += dur;
         cell.metrics.record_collision(&bursts);
         cell.metrics.time_collision += Microseconds(dur);
         cell.metrics.elapsed = Microseconds(cell.t);
-        if self.emitting {
-            cell.events.push(TraceEvent::Collision {
-                t: t0,
-                stations: tx.iter().map(|&i| cell.stations[i].global).collect(),
-            });
+        if !cell.sinks.is_empty() {
+            emit_to(
+                &cell.sinks,
+                &TraceEvent::Collision {
+                    t: t0,
+                    stations: tx.clone(),
+                },
+            );
         }
-
-        let txs_global: Vec<usize> = tx.iter().map(|&i| cell.stations[i].global).collect();
+        let txs = tx.iter().map(|&i| cell.members[i]).collect();
         cell.tx_buf = tx;
-        self.records.push(TxRecord {
-            cell: ci,
-            start: t,
-            end: t + dur,
-            txs: txs_global,
-            sensed: {
-                let mut s = vec![false; n_cells];
-                s[ci] = true;
-                s
-            },
-        });
+        self.push_record(ci, t, t + dur, txs);
     }
 }
 
-/// The SoF delimiter station `i` (cell-local) puts on the wire.
-fn sof_for(cell: &CoCell, i: usize, remaining: usize, pbs: u16, timing: MacTiming) -> SofDelimiter {
-    let fl = (timing.frame_length.as_micros() / 1.28).round();
-    SofDelimiter {
-        src: Tei::station(i as u32),
-        dst: Tei::station(cell.stations.len() as u32),
-        priority: Priority::CA1,
-        mpdu_cnt: remaining as u8,
-        num_pbs: pbs,
-        fl_units: fl.min(u16::MAX as f64) as u16,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plc_core::CancelToken;
+    use plc_faults::NoiseBurst;
+
+    /// Two 2-station cells `gap_m` apart: sensed at 10 m, hidden at 80 m,
+    /// isolated at 1,000 m.
+    fn pair(gap_m: f64) -> Simulation {
+        let topo = Topology::builder()
+            .cell(&[(0.0, 0.0), (2.0, 0.0)])
+            .cell(&[(gap_m, 0.0), (gap_m + 2.0, 0.0)])
+            .build()
+            .unwrap();
+        Simulation::ieee1901(4).topology(topo)
+    }
+
+    #[test]
+    fn a_fired_token_stops_every_topology_before_it_runs() {
+        let token = CancelToken::new();
+        token.cancel();
+        for (what, sim) in [
+            ("sensed", pair(10.0)),
+            ("hidden", pair(80.0)),
+            ("isolated", pair(1_000.0)),
+            ("single domain", Simulation::ieee1901(4)),
+        ] {
+            let md = sim
+                .horizon_us(2e6)
+                .seed(3)
+                .cancel(token.clone())
+                .try_run_topology()
+                .unwrap();
+            assert_eq!(md.report.elapsed_us, 0.0, "{what}");
+            assert_eq!(md.report.successes, 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_topology_rejects_a_malformed_noise_burst_alike() {
+        for burst in [
+            NoiseBurst {
+                start_us: 1e5,
+                duration_us: -1.0,
+            },
+            NoiseBurst {
+                start_us: f64::NAN,
+                duration_us: 1e4,
+            },
+        ] {
+            let errors: Vec<String> = [Simulation::ieee1901(4), pair(1_000.0), pair(80.0)]
+                .into_iter()
+                .map(|sim| {
+                    let err = sim.horizon_us(2e5).noise([burst]).try_run().unwrap_err();
+                    assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+                    err.to_string()
+                })
+                .collect();
+            assert!(errors[0].contains("finite, non-negative"), "{}", errors[0]);
+            assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        }
     }
 }

@@ -184,12 +184,16 @@ impl Simulation {
     }
 
     /// Group stations into isolated cells of `cell_size` (see
-    /// [`Topology::isolated_cells`]) — and, unlike
-    /// [`topology`](Simulation::topology)'s explicit layout, keep that
-    /// structure when a [`SweepGrid`](crate::SweepGrid) restamps the
+    /// [`Topology::isolated_cells`]: each cell's stations share one
+    /// outlet, so a cell of any size is one contention domain) — and,
+    /// unlike [`topology`](Simulation::topology)'s explicit layout, keep
+    /// that structure when a [`SweepGrid`](crate::SweepGrid) restamps the
     /// station count onto this template. This is the portfolio plumbing
     /// for multi-domain sweep scenarios: a grid over `n` scales the
-    /// number of cells, not the contention density inside one.
+    /// number of cells, not the contention density inside one. Each
+    /// cell runs exactly as a single-domain simulation of its own
+    /// stations, seeded from the master seed and the cell index (one
+    /// cell takes the master seed itself).
     pub fn cells_of(mut self, cell_size: usize) -> Self {
         assert!(cell_size >= 1, "cell_size must be at least 1");
         self.cell_size = Some(cell_size);
@@ -314,15 +318,17 @@ impl Simulation {
     }
 
     /// Install a cooperative [`CancelToken`](plc_core::CancelToken):
-    /// the slotted engine polls it once per slot and returns early when
-    /// it fires, leaving partial metrics behind (the report computed
-    /// from them covers only the simulated time actually run — check
+    /// the slotted engine polls it once per slot, and the coordinator
+    /// of a coupled topology's cells once per action, and both return
+    /// early when it fires, leaving partial metrics behind (the report
+    /// computed from them covers only the simulated time actually run —
+    /// check
     /// [`CancelToken::is_cancelled`](plc_core::CancelToken::is_cancelled)
     /// afterwards and discard the report if exactness matters, as the
-    /// `plc-jobs` watchdog does). Without a token the engine dispatches
-    /// to its exact pre-cancellation loops, so support is zero-cost
-    /// when unused. The deterministic mean-field backend solves in
-    /// microseconds and ignores the token.
+    /// `plc-jobs` watchdog does). Without a token the engine's run loop
+    /// carries no check, so support is zero-cost when unused. The
+    /// deterministic mean-field backend solves in microseconds and
+    /// ignores the token.
     pub fn cancel(mut self, token: plc_core::CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -379,12 +385,35 @@ impl Simulation {
                  per-cell breakdown) instead",
             ));
         }
-        let mut proc_rng = SmallRng::seed_from_u64(
-            self.seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(1),
-        );
-        let stations: Vec<StationSpec<AnyBackoff>> = (0..self.n)
+        let (stations, cfg) = self.engine_parts(self.n, self.seed, self.timing);
+        let mut engine = SlottedEngine::try_new(cfg, stations, self.seed)?;
+        for s in &self.sinks {
+            engine.add_sink(s.clone());
+        }
+        engine.check_wire_teis()?;
+        for (obs, every) in &self.observers {
+            engine.add_observer(obs.clone(), *every);
+        }
+        if let Some(reg) = &self.registry {
+            engine.instrument(reg)?;
+        }
+        Ok(engine)
+    }
+
+    /// The station specs and engine configuration every slotted build
+    /// of this simulation starts from: `n` stations whose processes draw
+    /// from the golden-ratio-mixed `seed` (the engine seeds traffic and
+    /// the channel from `seed` itself) on `timing`. The fully-connected
+    /// engine, isolated cells and coupled cells all build through here.
+    pub(crate) fn engine_parts(
+        &self,
+        n: usize,
+        seed: u64,
+        timing: MacTiming,
+    ) -> (Vec<StationSpec<AnyBackoff>>, EngineConfig) {
+        let mut proc_rng =
+            SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+        let stations = (0..n)
             .map(|_| {
                 let process: AnyBackoff = match self.protocol {
                     Protocol::Ieee1901 => {
@@ -401,7 +430,7 @@ impl Simulation {
             })
             .collect();
         let cfg = EngineConfig {
-            timing: self.timing,
+            timing,
             horizon: self.horizon,
             burst: self.burst,
             retry: self.retry,
@@ -414,18 +443,7 @@ impl Simulation {
             soa: self.soa,
             cancel: self.cancel.clone(),
         };
-        let mut engine = SlottedEngine::try_new(cfg, stations, self.seed)?;
-        for s in &self.sinks {
-            engine.add_sink(s.clone());
-        }
-        engine.check_wire_teis()?;
-        for (obs, every) in &self.observers {
-            engine.add_observer(obs.clone(), *every);
-        }
-        if let Some(reg) = &self.registry {
-            engine.instrument(reg)?;
-        }
-        Ok(engine)
+        (stations, cfg)
     }
 
     /// Build, run to the horizon, and summarize. The single entry point:
@@ -920,6 +938,25 @@ mod tests {
                 .unwrap();
             assert_eq!(seen.lock().successes, r.successes);
         }
+    }
+
+    #[test]
+    fn cells_of_runs_every_cell_size_as_its_own_domain() {
+        // Cells of 72 or more once spread past sense range and panicked
+        // in the builder; co-located cells hold any size.
+        let seed = 4;
+        let sim = Simulation::ieee1901(144).horizon_us(2e5).seed(seed);
+        let halves = sim.clone().cells_of(72).try_run_topology().unwrap();
+        assert_eq!(halves.cells.len(), 2);
+        for (c, cell) in halves.cells.iter().enumerate() {
+            let alone = Simulation::ieee1901(72)
+                .horizon_us(2e5)
+                .seed(crate::sweep::derive_seed(seed, c as u64, 1))
+                .run();
+            assert_eq!(*cell, alone, "cell {c}");
+        }
+        let whole = sim.clone().cells_of(144).try_run_topology().unwrap();
+        assert_eq!(whole.cells, vec![sim.run()]);
     }
 
     #[test]

@@ -107,11 +107,13 @@ impl Topology {
     }
 
     /// `n` stations grouped into isolated cells of `cell_size` (the last
-    /// cell takes the remainder): stations sit 1 m apart inside a cell
-    /// (well inside sense range) and cells sit 1 km apart (below the
-    /// interference threshold), so every cell is an independent
-    /// contention domain on the legacy fast path. This is the shape the
-    /// sweep engine can restamp to any station count — see
+    /// cell takes the remainder): a cell's stations share one outlet, so
+    /// every pair links at the channel's zero-distance SNR (38 dB on the
+    /// builder's short-link channel, well inside sense range) at any cell
+    /// size, and cells sit 1 km apart (below the interference threshold).
+    /// Every cell is thus an independent contention domain on the legacy
+    /// fast path. This is the shape the sweep engine can restamp to any
+    /// station count — see
     /// [`Simulation::cells_of`](crate::Simulation::cells_of).
     pub fn isolated_cells(n: usize, cell_size: usize) -> Self {
         assert!(cell_size >= 1, "cell_size must be at least 1");
@@ -123,9 +125,7 @@ impl Topology {
         let mut cell_index = 0usize;
         while placed < n {
             let len = cell_size.min(n - placed);
-            let positions: Vec<(f64, f64)> = (0..len)
-                .map(|i| (cell_index as f64 * 1_000.0 + i as f64, 0.0))
-                .collect();
+            let positions = vec![(cell_index as f64 * 1_000.0, 0.0); len];
             b = b.cell(&positions);
             placed += len;
             cell_index += 1;
