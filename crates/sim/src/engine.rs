@@ -412,10 +412,7 @@ impl<P> StationCtx<P> {
             } else if p_err == 0.0 {
                 0
             } else {
-                let _draw_span = pb_draw.map(|t| t.start());
-                (0..pbs)
-                    .filter(|_| rand::Rng::gen::<f64>(rng) < p_err)
-                    .count() as u16
+                sample_pb_errors(rng, p_err, pbs, pb_draw)
             };
             outcomes.push((pbs, errored));
             let s = &mut metrics.per_station[w];
@@ -478,6 +475,20 @@ impl<P> StationCtx<P> {
             emit_to(sinks, &TraceEvent::Sack { t: ack_t, ack });
         }
     }
+}
+
+/// How many of `pbs` physical blocks error on a channel whose PB error
+/// probability `p` is positive, timed under `pb_draw`. Out of line: the
+/// success arm runs it only on a lossy channel.
+#[inline(never)]
+fn sample_pb_errors(
+    rng: &mut SmallRng,
+    p: f64,
+    pbs: u16,
+    pb_draw: Option<&plc_obs::SpanTimer>,
+) -> u16 {
+    let _draw_span = pb_draw.map(|t| t.start());
+    (0..pbs).filter(|_| rand::Rng::gen::<f64>(rng) < p).count() as u16
 }
 
 /// The per-object collision pass: one ascending sweep over `stations` in

@@ -942,8 +942,8 @@ mod tests {
 
     #[test]
     fn cells_of_runs_every_cell_size_as_its_own_domain() {
-        // Cells of 72 or more once spread past sense range and panicked
-        // in the builder; co-located cells hold any size.
+        // 72 stations a metre apart would put a cell's ends 71 m apart,
+        // below the sense threshold: each cell must hold at any size.
         let seed = 4;
         let sim = Simulation::ieee1901(144).horizon_us(2e5).seed(seed);
         let halves = sim.clone().cells_of(72).try_run_topology().unwrap();
