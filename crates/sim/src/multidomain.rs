@@ -51,8 +51,8 @@
 //! * the configuration is checked once, before any component runs, by
 //!   the engine's own check (timing, PB error range, noise schedule);
 //! * a success's per-MPDU delivery and SoF/SACK stamp, and a
-//!   collision's per-object pass, are the engine functions its success
-//!   arm and per-object collision arm call.
+//!   collision's per-object pass, are the functions the engine's own
+//!   success arm and per-object collision arm call.
 //!
 //! Coupled cells do not become [`SlottedEngine`]s: a coupled cell
 //! commits a success when its burst ends, defers as a unit to foreign
