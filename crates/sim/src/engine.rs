@@ -385,9 +385,8 @@ impl<P> StationCtx<P> {
     /// errored PBs for retransmission, and returns the fresh frames
     /// consumed and the clean fresh MPDUs `record_success` credits.
     ///
-    /// Force-inlined into the engine's success arm, where this loop sat
-    /// before it was shared: left to the inliner it becomes one call per
-    /// success.
+    /// Force-inlined: the engine's success arm is hot, and left to the
+    /// inliner this becomes one call per success.
     #[inline(always)]
     pub(crate) fn deliver(
         &mut self,
