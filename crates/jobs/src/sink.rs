@@ -12,7 +12,7 @@ use plc_sim::sweep::SweepResults;
 use std::io::Write;
 use std::path::Path;
 
-/// Observer of a running job's settled points.
+/// Receiver of a running job's settled points.
 pub trait ResultSink: Send {
     /// One point settled and its journal line is durable.
     fn on_point(&mut self, entry: &JournalEntry);

@@ -1,12 +1,10 @@
-//! The metric registry: named counters, gauges, histograms and span
-//! timers behind cheap cloneable handles.
+//! The metric registry: named counters and span timers behind cheap
+//! cloneable handles.
 //!
 //! A [`Registry`] is an `Arc` around shared state, so cloning one and
 //! handing it to an engine, a worker pool and a reporting thread all
-//! observe the same metrics. Handles ([`Counter`], [`Gauge`],
-//! [`Histogram`], [`SpanTimer`]) are resolved once by name and then
-//! update lock-free (counters/gauges/timers are atomics; histograms
-//! take a short mutex).
+//! observe the same metrics. Handles ([`Counter`], [`SpanTimer`]) are
+//! resolved once by name and then update lock-free (both are atomics).
 //!
 //! Disabling a registry ([`Registry::set_enabled`]) turns every handle
 //! into a no-op — span timers stop reading the clock entirely — so
@@ -21,19 +19,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Histogram bucket count: bucket 0 holds values < 1, bucket `i ≥ 1`
-/// holds values in `[2^(i-1), 2^i)`, the last bucket saturates.
-const HIST_BUCKETS: usize = 32;
-
-#[derive(Default)]
-struct HistData {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: [u64; HIST_BUCKETS],
-}
-
 struct TimerData {
     count: AtomicU64,
     nanos: AtomicU64,
@@ -41,9 +26,6 @@ struct TimerData {
 
 enum Metric {
     Counter(Arc<AtomicU64>),
-    /// f64 stored as its bit pattern.
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Mutex<HistData>>),
     Timer(Arc<TimerData>),
 }
 
@@ -51,8 +33,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
             Metric::Timer(_) => "timer",
         }
     }
@@ -160,56 +140,6 @@ impl Registry {
         )
     }
 
-    /// Get or create the gauge `name`, or fail with a typed error if
-    /// `name` is already registered as a different metric kind.
-    pub fn try_gauge(&self, name: &str) -> Result<Gauge> {
-        self.try_resolve(
-            name,
-            || {
-                let cell = Arc::new(AtomicU64::new(0f64.to_bits()));
-                (
-                    Metric::Gauge(cell.clone()),
-                    Gauge {
-                        cell,
-                        owner: self.inner.clone(),
-                    },
-                )
-            },
-            |m| match m {
-                Metric::Gauge(cell) => Some(Gauge {
-                    cell: cell.clone(),
-                    owner: self.inner.clone(),
-                }),
-                _ => None,
-            },
-        )
-    }
-
-    /// Get or create the histogram `name`, or fail with a typed error if
-    /// `name` is already registered as a different metric kind.
-    pub fn try_histogram(&self, name: &str) -> Result<Histogram> {
-        self.try_resolve(
-            name,
-            || {
-                let data = Arc::new(Mutex::new(HistData::default()));
-                (
-                    Metric::Histogram(data.clone()),
-                    Histogram {
-                        data,
-                        owner: self.inner.clone(),
-                    },
-                )
-            },
-            |m| match m {
-                Metric::Histogram(data) => Some(Histogram {
-                    data: data.clone(),
-                    owner: self.inner.clone(),
-                }),
-                _ => None,
-            },
-        )
-    }
-
     /// Get or create the span timer `name`, or fail with a typed error if
     /// `name` is already registered as a different metric kind.
     pub fn try_timer(&self, name: &str) -> Result<SpanTimer> {
@@ -249,26 +179,6 @@ impl Registry {
         self.try_counter(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Get or create the gauge `name`. Convenience wrapper around
-    /// [`try_gauge`](Registry::try_gauge).
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.try_gauge(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Get or create the histogram `name`. Convenience wrapper around
-    /// [`try_histogram`](Registry::try_histogram).
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.try_histogram(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Get or create the span timer `name`. Convenience wrapper around
     /// [`try_timer`](Registry::try_timer).
     ///
@@ -290,27 +200,6 @@ impl Registry {
                     name: name.clone(),
                     value: cell.load(Ordering::Relaxed),
                 }),
-                Metric::Gauge(cell) => snap.gauges.push(GaugeSnapshot {
-                    name: name.clone(),
-                    value: f64::from_bits(cell.load(Ordering::Relaxed)),
-                }),
-                Metric::Histogram(data) => {
-                    let h = data.lock();
-                    let last_used = h
-                        .buckets
-                        .iter()
-                        .rposition(|&b| b > 0)
-                        .map(|i| i + 1)
-                        .unwrap_or(0);
-                    snap.histograms.push(HistogramSnapshot {
-                        name: name.clone(),
-                        count: h.count,
-                        sum: h.sum,
-                        min: if h.count == 0 { 0.0 } else { h.min },
-                        max: if h.count == 0 { 0.0 } else { h.max },
-                        buckets: h.buckets[..last_used].to_vec(),
-                    });
-                }
                 Metric::Timer(data) => {
                     let count = data.count.load(Ordering::Relaxed);
                     let nanos = data.nanos.load(Ordering::Relaxed);
@@ -369,65 +258,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-value-wins instantaneous measurement handle.
-#[derive(Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-    owner: Arc<RegistryInner>,
-}
-
-impl Gauge {
-    /// Record the current value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if self.owner.enabled.load(Ordering::Relaxed) {
-            self.cell.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Last recorded value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
-/// Value-distribution handle (log₂ buckets plus count/sum/min/max).
-#[derive(Clone)]
-pub struct Histogram {
-    data: Arc<Mutex<HistData>>,
-    owner: Arc<RegistryInner>,
-}
-
-impl Histogram {
-    /// Record one observation. Non-finite values are ignored.
-    pub fn record(&self, value: f64) {
-        if !self.owner.enabled.load(Ordering::Relaxed) || !value.is_finite() {
-            return;
-        }
-        let bucket = if value < 1.0 {
-            0
-        } else {
-            (value.log2().floor() as usize + 1).min(HIST_BUCKETS - 1)
-        };
-        let mut h = self.data.lock();
-        if h.count == 0 {
-            h.min = value;
-            h.max = value;
-        } else {
-            h.min = h.min.min(value);
-            h.max = h.max.max(value);
-        }
-        h.count += 1;
-        h.sum += value;
-        h.buckets[bucket] += 1;
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.data.lock().count
     }
 }
 
@@ -516,33 +346,6 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// Snapshot of one gauge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Last recorded value.
-    pub value: f64,
-}
-
-/// Snapshot of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation (0 when empty).
-    pub min: f64,
-    /// Largest observation (0 when empty).
-    pub max: f64,
-    /// Log₂ bucket counts, trimmed after the last non-empty bucket:
-    /// bucket 0 counts values < 1, bucket `i ≥ 1` counts `[2^(i−1), 2^i)`.
-    pub buckets: Vec<u64>,
-}
-
 /// Snapshot of one span timer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimerSnapshot {
@@ -559,10 +362,6 @@ pub struct TimerSnapshot {
 pub struct RegistrySnapshot {
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<GaugeSnapshot>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Span timers, sorted by name.
     pub timers: Vec<TimerSnapshot>,
 }
@@ -609,55 +408,19 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let reg = Registry::disabled();
         let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
         let t = reg.timer("t");
         c.inc();
-        g.set(2.5);
-        h.record(10.0);
         {
             let _span = t.start();
         }
         t.record(std::time::Duration::from_millis(5));
+        t.record_many(3, std::time::Duration::from_millis(5));
         assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0.0);
-        assert_eq!(h.count(), 0);
         assert_eq!(t.count(), 0);
         // Re-enabling makes the same handles live again.
         reg.set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 1);
-    }
-
-    #[test]
-    fn gauge_is_last_value_wins() {
-        let reg = Registry::new();
-        let g = reg.gauge("load");
-        g.set(1.0);
-        g.set(-3.5);
-        assert_eq!(g.get(), -3.5);
-    }
-
-    #[test]
-    fn histogram_tracks_bounds_and_buckets() {
-        let reg = Registry::new();
-        let h = reg.histogram("sizes");
-        for v in [0.5, 1.0, 3.0, 1000.0] {
-            h.record(v);
-        }
-        h.record(f64::NAN); // ignored
-        let snap = reg.snapshot();
-        let hs = &snap.histograms[0];
-        assert_eq!(hs.count, 4);
-        assert_eq!(hs.min, 0.5);
-        assert_eq!(hs.max, 1000.0);
-        assert!((hs.sum - 1004.5).abs() < 1e-9);
-        // 0.5 → bucket 0, 1.0 → bucket 1, 3.0 → bucket 2, 1000 → bucket 10.
-        assert_eq!(hs.buckets[0], 1);
-        assert_eq!(hs.buckets[1], 1);
-        assert_eq!(hs.buckets[2], 1);
-        assert_eq!(hs.buckets[10], 1);
-        assert_eq!(hs.buckets.iter().sum::<u64>(), 4);
     }
 
     #[test]
@@ -677,7 +440,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let reg = Registry::new();
         let _ = reg.counter("name");
-        let _ = reg.gauge("name");
+        let _ = reg.timer("name");
     }
 
     #[test]
@@ -688,16 +451,23 @@ mod tests {
         // Same kind → shared handle, not an error.
         assert_eq!(reg.try_counter("name").expect("same kind").get(), 1);
         // Different kinds → typed error naming the existing kind.
-        let err = match reg.try_gauge("name") {
+        let err = match reg.try_timer("name") {
             Ok(_) => panic!("kind mismatch must fail"),
             Err(e) => e,
         };
         let msg = err.to_string();
         assert!(msg.contains("already registered as a counter"), "{msg}");
-        assert!(reg.try_histogram("name").is_err());
-        assert!(reg.try_timer("name").is_err());
-        // The failed lookups must not have clobbered the counter.
-        assert_eq!(reg.snapshot().counter("name"), Some(1));
+        reg.timer("span");
+        let msg = reg
+            .try_counter("span")
+            .err()
+            .expect("kind mismatch")
+            .to_string();
+        assert!(msg.contains("already registered as a timer"), "{msg}");
+        // The failed lookups must not have clobbered either metric.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("name"), Some(1));
+        assert_eq!(snap.timer("span").map(|t| t.count), Some(0));
     }
 
     #[test]
@@ -706,7 +476,7 @@ mod tests {
             let reg = Registry::new();
             reg.counter("zeta").add(1);
             reg.counter("alpha").add(2);
-            reg.gauge("mid").set(0.5);
+            reg.timer("mid").record(std::time::Duration::from_millis(1));
             reg.to_json()
         };
         let a = make();

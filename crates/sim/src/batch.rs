@@ -1,10 +1,10 @@
 //! Deterministic parallel execution of many independent runs.
 //!
 //! [`BatchRunner`] is the one pool every fan-out in the workspace sits
-//! on: the sweep pool ([`parallel_map`](crate::sweep::parallel_map) and
-//! friends delegate here), the confirm rungs of `plc-jobs`, replication
-//! batches, and multi-cell runs, which run one engine per contention
-//! domain.
+//! on: the sweep pool ([`parallel_map`](crate::sweep::parallel_map),
+//! which [`SweepGrid::run`](crate::SweepGrid::run) calls), the confirm
+//! rungs of `plc-jobs`, replication batches, and multi-cell runs, which
+//! run one engine per contention domain.
 //!
 //! * **Self-scheduling** — every worker takes the next item from one
 //!   shared queue, so a worker that finishes early (a cheap item, a
@@ -15,13 +15,9 @@
 //!   scheduler does (provided the work function is deterministic in
 //!   `(index, item)`).
 //! * **One registry** — every work item receives the attached
-//!   [`Registry`] itself and records straight into
-//!   it from its worker. Counters and span-timer counts are exact sums
-//!   for any worker count (timer durations are wall clock, never
-//!   deterministic). A histogram or gauge value recorded inside a work
-//!   item would depend on the schedule — float sums accumulate in
-//!   arrival order, a gauge keeps its last writer — and no work
-//!   function in the workspace records one.
+//!   [`Registry`] itself and records straight into it from its worker.
+//!   Counters and span-timer counts are exact sums for any worker count
+//!   (timer durations are wall clock, never deterministic).
 
 use crate::runner::{SimReport, Simulation};
 use parking_lot::Mutex;
@@ -442,7 +438,7 @@ mod tests {
     #[test]
     fn kind_clash_surfaces_as_the_engines_typed_error() {
         let registry = Registry::new();
-        registry.gauge("engine.steps").set(1.0); // clashes with the counter
+        registry.timer("engine.steps"); // clashes with the counter
         let sims = vec![Simulation::ieee1901(1).horizon_us(1e5)];
         let out = BatchRunner::new()
             .workers(1)
@@ -452,7 +448,7 @@ mod tests {
             .into_iter()
             .next()
             .expect("one result")
-            .expect_err("the engine's counter clashes with the gauge");
+            .expect_err("the engine's counter clashes with the timer");
         assert!(err.to_string().contains("engine.steps"), "{err}");
     }
 }

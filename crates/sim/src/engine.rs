@@ -55,7 +55,6 @@ use plc_core::timing::{MacTiming, MAX_BURST, PREAMBLE, RIFS, SACK};
 use plc_core::units::Microseconds;
 use plc_mac::process::BackoffProcess;
 use plc_mac::retry::{RetryPolicy, RetryState};
-use plc_obs::{EngineObs, SharedObserver, StationObs};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -63,19 +62,28 @@ use std::sync::Arc;
 /// A trace sink shared between the engine and its owner.
 pub type SharedSink = Arc<Mutex<dyn TraceSink + Send>>;
 
-/// An observer attached to the engine, firing every `every` steps.
-struct ObserverSlot {
-    observer: SharedObserver,
-    every: u64,
-}
-
-/// Hot-path span timers installed by [`SlottedEngine::instrument`].
-struct EngineTimers {
-    step: plc_obs::SpanTimer,
-    pb_draw: plc_obs::SpanTimer,
-    steps: plc_obs::Counter,
+/// Hot-path span timers installed by [`SlottedEngine::instrument`]; the
+/// coupled-cell coordinator records into the same handles.
+pub(crate) struct EngineTimers {
+    pub(crate) step: plc_obs::SpanTimer,
+    pub(crate) pb_draw: plc_obs::SpanTimer,
+    pub(crate) steps: plc_obs::Counter,
     steps_skipped: plc_obs::Counter,
     fast_forward: plc_obs::SpanTimer,
+}
+
+impl EngineTimers {
+    /// Resolve the handles in `registry`, failing with [`Error::Runtime`]
+    /// if a name is already registered as a different metric kind.
+    pub(crate) fn resolve(registry: &plc_obs::Registry) -> Result<Self> {
+        Ok(EngineTimers {
+            step: registry.try_timer("engine.step")?,
+            pb_draw: registry.try_timer("engine.pb_draw")?,
+            steps: registry.try_counter("engine.steps")?,
+            steps_skipped: registry.try_counter("engine.steps_skipped")?,
+            fast_forward: registry.try_timer("engine.fast_forward")?,
+        })
+    }
 }
 
 /// Beacon scheduling: the CCo transmits one beacon per period; contention
@@ -137,9 +145,8 @@ pub struct EngineConfig {
     /// draws and never touch the deferral counter — and exercised against
     /// it by the `fast_forward_equivalence` test suite; disable only to
     /// cross-check the stepping path.
-    /// [`emit_snapshots`](EngineConfig::emit_snapshots) and attached
-    /// observers force the per-slot path regardless, since both need every
-    /// step materialized.
+    /// [`emit_snapshots`](EngineConfig::emit_snapshots) forces the
+    /// per-slot path regardless, since it needs every step materialized.
     pub fast_forward: bool,
     /// Host the contention counters in a struct-of-arrays core (default
     /// `true`), making the busy-slot pass a tight sweep over parallel
@@ -619,7 +626,6 @@ pub struct SlottedEngine<P: BackoffProcess> {
     next_beacon: Microseconds,
     /// Slots executed so far (skipped idle slots count one each).
     steps: u64,
-    observers: Vec<ObserverSlot>,
     timers: Option<EngineTimers>,
     /// Cursor into `cfg.noise` (time is monotone, so passed bursts never
     /// come back).
@@ -763,7 +769,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             burst_buf: Vec::with_capacity(n),
             next_beacon,
             steps: 0,
-            observers: Vec::new(),
             timers: None,
             noise_idx: 0,
             fixed_backlog,
@@ -810,18 +815,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         Ok(())
     }
 
-    /// Attach a periodic observer: it receives an [`EngineObs`] snapshot
-    /// every `every_steps` engine steps. Observers are read-only — they
-    /// never touch the engine's RNG stream, so attaching one cannot
-    /// change the simulation's results.
-    pub fn add_observer(&mut self, observer: SharedObserver, every_steps: u64) {
-        assert!(every_steps > 0, "observer interval must be positive");
-        self.observers.push(ObserverSlot {
-            observer,
-            every: every_steps,
-        });
-    }
-
     /// Install hot-path instrumentation into `registry`: the span timers
     /// `engine.step` (whole-step wall time), `engine.pb_draw` (per-MPDU
     /// channel-error sampling) and `engine.fast_forward` (idle-slot
@@ -840,13 +833,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// Fails with [`Error::Runtime`] if any of those names is already
     /// registered as a different metric kind.
     pub fn instrument(&mut self, registry: &plc_obs::Registry) -> Result<()> {
-        self.timers = Some(EngineTimers {
-            step: registry.try_timer("engine.step")?,
-            pb_draw: registry.try_timer("engine.pb_draw")?,
-            steps: registry.try_counter("engine.steps")?,
-            steps_skipped: registry.try_counter("engine.steps_skipped")?,
-            fast_forward: registry.try_timer("engine.fast_forward")?,
-        });
+        self.timers = Some(EngineTimers::resolve(registry)?);
         // Make silent SoA fallbacks visible: the counter exists whenever
         // an instrumented engine runs, so a zero reading means "core
         // active or opted out", a non-zero reading says how many engines
@@ -1102,7 +1089,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         // Keep the uninstrumented path free of Drop locals (span guards)
         // so the optimizer sees the same hot loop as without
         // observability; it pays exactly this one branch.
-        let kind = if self.timers.is_none() && self.observers.is_empty() {
+        let kind = if self.timers.is_none() {
             let kind = self.step_inner::<false>();
             self.steps += 1;
             kind
@@ -1135,52 +1122,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         if let Some(t) = &self.timers {
             t.steps.inc();
         }
-        if !self.observers.is_empty() {
-            self.notify_observers();
-        }
         kind
-    }
-
-    /// Build the plain-data snapshot observers receive.
-    fn engine_obs(&self) -> EngineObs {
-        EngineObs {
-            t_us: self.t.as_micros(),
-            step: self.steps,
-            idle_slots: self.metrics.idle_slots,
-            successes: self.metrics.successes,
-            collision_events: self.metrics.collision_events,
-            stations: self
-                .stations
-                .iter()
-                .enumerate()
-                .map(|(i, st)| {
-                    let snap = match &self.core {
-                        Some(core) => core.snapshot(i),
-                        None => st.process.snapshot(),
-                    };
-                    StationObs {
-                        station: i,
-                        stage: snap.stage,
-                        cw: snap.cw,
-                        bc: snap.bc,
-                        dc: snap.dc,
-                        bpc: snap.bpc,
-                        successes: self.metrics.per_station[i].successes,
-                        collisions: self.metrics.per_station[i].collisions,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn notify_observers(&self) {
-        let mut obs: Option<EngineObs> = None;
-        for slot in &self.observers {
-            if self.steps.is_multiple_of(slot.every) {
-                let snapshot = obs.get_or_insert_with(|| self.engine_obs());
-                slot.observer.lock().on_engine(snapshot);
-            }
-        }
     }
 
     // Force-inlined into both `step` paths: with two call sites the
@@ -1548,10 +1490,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     ///
     /// When [`EngineConfig::fast_forward`] is on (the default), runs of
     /// guaranteed-idle slots are absorbed in one jump per run. Per-slot
-    /// snapshots ([`EngineConfig::emit_snapshots`]) and attached
-    /// observers force per-slot stepping, since both need every step
-    /// materialized. An installed [`EngineConfig::cancel`] token is
-    /// polled once per slot.
+    /// snapshots ([`EngineConfig::emit_snapshots`]) force per-slot
+    /// stepping, since they need every step materialized. An installed
+    /// [`EngineConfig::cancel`] token is polled once per slot.
     pub fn run(&mut self) -> &Metrics {
         match self.cfg.cancel.clone() {
             None => self.run_until(|| false),
@@ -1570,14 +1511,14 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// order as one without a token.
     #[inline(never)]
     fn run_until(&mut self, cancelled: impl Fn() -> bool) {
-        let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots && self.observers.is_empty();
+        let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots;
         // External `step()` calls may have mutated station state since the
         // cache was last folded.
         self.hint_valid = false;
         // The instrumented-or-not decision is loop-invariant: hoist it so
         // the uninstrumented loop compiles exactly as it would without
         // observability support.
-        if self.timers.is_none() && self.observers.is_empty() {
+        if self.timers.is_none() {
             if fast {
                 while self.t <= self.cfg.horizon && !cancelled() {
                     if self.fast_forward_idle() == 0 {
@@ -1597,8 +1538,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             // loop is timed as a whole and `engine.step` receives
             // (steps, loop time minus fast-forward time) once at the
             // end: the same totals the per-step guards would have
-            // accumulated. The `fast` path never has observers, which
-            // are what need per-step materialization.
+            // accumulated.
             let started = std::time::Instant::now();
             let mut stepped = 0u64;
             let mut ff_time = std::time::Duration::ZERO;

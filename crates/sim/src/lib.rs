@@ -68,8 +68,7 @@ pub use paper::{PaperSim, PaperSimResult};
 pub use runner::{ReplicationSummary, RunSummary, SimReport, Simulation};
 pub use scenario::Scenario;
 pub use sweep::{
-    parallel_map, parallel_map_observed, parallel_map_with_progress, EarlyStop, Quantity,
-    SweepGrid, SweepPoint, SweepPointResult, SweepResults,
+    parallel_map, EarlyStop, Quantity, SweepGrid, SweepPoint, SweepPointResult, SweepResults,
 };
 pub use topology::{Topology, TopologyBuilder};
 pub use trace::{StationId, SuccessTrace, TraceEvent, TraceSink, VecTraceSink};

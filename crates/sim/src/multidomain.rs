@@ -52,7 +52,12 @@
 //!   the engine's own check (timing, PB error range, noise schedule);
 //! * a success's per-MPDU delivery and SoF/SACK stamp, and a
 //!   collision's per-object pass, are the functions the engine's own
-//!   success arm and per-object collision arm call.
+//!   success arm and per-object collision arm call;
+//! * with a registry attached, the metric handles are the engine's: a
+//!   kind clash is the error [`SlottedEngine::instrument`] returns, each
+//!   contention slot a cell runs (idle, success start, intra-cell
+//!   collision; not a deferral or a commit) counts into `engine.steps`,
+//!   and `engine.step` receives the component's loop time in one batch.
 //!
 //! Coupled cells do not become [`SlottedEngine`]s: a coupled cell
 //! commits a success when its burst ends, defers as a unit to foreign
@@ -98,8 +103,8 @@
 
 use crate::batch::BatchRunner;
 use crate::engine::{
-    check_default_teis, collision_pass, emit_to, Burst, EngineConfig, SharedSink, SlottedEngine,
-    StationCtx,
+    check_default_teis, collision_pass, emit_to, Burst, EngineConfig, EngineTimers, SharedSink,
+    SlottedEngine, StationCtx,
 };
 use crate::metrics::Metrics;
 use crate::runner::{SimReport, Simulation};
@@ -185,9 +190,6 @@ pub(crate) fn run_spatial(sim: &Simulation, topo: &Topology) -> Result<MultiDoma
     if sim.snapshots {
         return Err(reject("per-step snapshots"));
     }
-    if !sim.observers.is_empty() {
-        return Err(reject("periodic observers"));
-    }
     // Every component runs under this configuration: the engine's check
     // rejects it (and sorts its noise schedule) before any cell runs.
     let (_, mut cfg) = sim.engine_parts(0, sim.seed, sim.timing);
@@ -267,7 +269,12 @@ fn run_component(
             return run_isolated(sim, topo, comp[0], derived[0], emitting);
         }
     }
-    Ok(Coordinator::new(sim, topo, cfg, comp, emitting).run())
+    let timers = sim
+        .registry
+        .as_ref()
+        .map(EngineTimers::resolve)
+        .transpose()?;
+    Ok(Coordinator::new(sim, topo, cfg, comp, emitting, timers).run())
 }
 
 /// A cell's trace buffer, when the run has sinks.
@@ -397,6 +404,10 @@ struct Coordinator<'a> {
     alive_from: usize,
     jammed_tx: u64,
     sensed_defers: u64,
+    /// The engine's metric handles, when a registry is attached.
+    timers: Option<EngineTimers>,
+    /// Contention slots run so far, over every cell (`engine.steps`).
+    steps: u64,
 }
 
 impl<'a> Coordinator<'a> {
@@ -406,6 +417,7 @@ impl<'a> Coordinator<'a> {
         cfg: &'a EngineConfig,
         comp: &[usize],
         emitting: bool,
+        timers: Option<EngineTimers>,
     ) -> Self {
         let mut cells = Vec::with_capacity(comp.len());
         for &c in comp {
@@ -460,11 +472,14 @@ impl<'a> Coordinator<'a> {
             alive_from: 0,
             jammed_tx: 0,
             sensed_defers: 0,
+            timers,
+            steps: 0,
         }
     }
 
     fn run(mut self) -> ComponentOut {
         let horizon = self.cfg.horizon.as_micros();
+        let started = std::time::Instant::now();
         loop {
             // A fired token stops the component before its next action,
             // as the engine stops before its next slot.
@@ -491,6 +506,12 @@ impl<'a> Coordinator<'a> {
                 self.free_step(ci);
             }
             self.prune_records();
+        }
+        // One batch, as the engine's fast loop records: a clock read per
+        // slot would cost as much as the slot.
+        if let Some(t) = &self.timers {
+            t.step.record_many(self.steps, started.elapsed());
+            t.steps.add(self.steps);
         }
         let out_cells = self
             .cells
@@ -548,7 +569,8 @@ impl<'a> Coordinator<'a> {
     }
 
     /// One action for a cell with nothing in flight: defer to a sensed
-    /// foreign transmission, or run one contention slot.
+    /// foreign transmission, or run one contention slot (counted into
+    /// `engine.steps`, as the engine counts its slots).
     fn free_step(&mut self, ci: usize) {
         let t = self.cells[ci].t;
 
@@ -578,6 +600,7 @@ impl<'a> Coordinator<'a> {
             return;
         }
 
+        self.steps += 1;
         let cell = &mut self.cells[ci];
         // Traffic arrivals up to now; newly-backlogged stations start a
         // fresh stage-0 backoff (the legacy engine's per-step arrivals).
@@ -678,7 +701,7 @@ impl<'a> Coordinator<'a> {
             &b,
             self.cfg.pb_error_prob,
             &mut cell.rng,
-            None,
+            self.timers.as_ref().map(|t| &t.pb_draw),
             &mut cell.metrics,
             &mut outcomes,
         );
@@ -800,6 +823,55 @@ mod tests {
             .build()
             .unwrap();
         Simulation::ieee1901(4).topology(topo)
+    }
+
+    /// Contention slots over every cell of a run: idle slots, successes
+    /// and collision events.
+    fn cell_slots(md: &MultiDomainReport) -> u64 {
+        let slots = |m: &Metrics| m.idle_slots + m.successes + m.collision_events;
+        md.cells.iter().map(|c| slots(&c.metrics)).sum()
+    }
+
+    #[test]
+    fn every_topology_counts_its_cells_slots_into_the_registry() {
+        for (gap_m, expected) in [(10.0, 2_160), (80.0, 3_087), (1_000.0, 3_087)] {
+            let registry = plc_obs::Registry::new();
+            let md = pair(gap_m)
+                .horizon_us(1e6)
+                .seed(3)
+                .registry(&registry)
+                .try_run_topology()
+                .unwrap();
+            assert_eq!(cell_slots(&md), expected, "{gap_m} m");
+            let snap = registry.snapshot();
+            let steps = snap.counter("engine.steps");
+            assert_eq!(steps, Some(expected), "{gap_m} m");
+            // Every slot not absorbed by a fast-forward jump is a step
+            // span, on the engine and the coordinator alike.
+            let spans = snap.timer("engine.step").map(|t| t.count);
+            let skipped = snap.counter("engine.steps_skipped").unwrap_or(0);
+            assert_eq!(spans, Some(expected - skipped), "{gap_m} m");
+            assert_eq!(snap.counter("multidomain.cells"), Some(2), "{gap_m} m");
+        }
+    }
+
+    #[test]
+    fn coupled_cells_return_the_engines_metric_kind_clash() {
+        let errors: Vec<String> = [pair(1_000.0), pair(80.0)]
+            .into_iter()
+            .map(|sim| {
+                let registry = plc_obs::Registry::new();
+                registry.timer("engine.steps");
+                let err = sim
+                    .horizon_us(2e5)
+                    .registry(&registry)
+                    .try_run()
+                    .unwrap_err();
+                err.to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("engine.steps"), "{}", errors[0]);
+        assert_eq!(errors[0], errors[1]);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use plc_core::units::Microseconds;
 use plc_mac::process::Protocol;
 use plc_mac::retry::RetryPolicy;
 use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
-use plc_obs::SharedObserver;
 use plc_stats::summary::{Summary, Welford};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -38,9 +37,9 @@ use serde::{Deserialize, Serialize};
 
 /// Builder for single-contention-domain simulations.
 ///
-/// [`run`](Simulation::run) is the single entry point: sinks and
-/// observers are attached with [`sink`](Simulation::sink) /
-/// [`observer`](Simulation::observer) before running, instead of through
+/// [`run`](Simulation::run) is the single entry point: sinks and a
+/// registry are attached with [`sink`](Simulation::sink) /
+/// [`registry`](Simulation::registry) before running, instead of through
 /// side-channel run variants or post-construction engine mutation.
 #[derive(Clone)]
 pub struct Simulation {
@@ -65,7 +64,6 @@ pub struct Simulation {
     pub(crate) soa: bool,
     pub(crate) cancel: Option<plc_core::CancelToken>,
     pub(crate) sinks: Vec<SharedSink>,
-    pub(crate) observers: Vec<(SharedObserver, u64)>,
     pub(crate) registry: Option<plc_obs::Registry>,
 }
 
@@ -92,7 +90,6 @@ impl std::fmt::Debug for Simulation {
             .field("soa", &self.soa)
             .field("cancel", &self.cancel.is_some())
             .field("sinks", &self.sinks.len())
-            .field("observers", &self.observers.len())
             .field("registry", &self.registry.is_some())
             .finish()
     }
@@ -126,7 +123,6 @@ impl Simulation {
             soa: true,
             cancel: None,
             sinks: Vec::new(),
-            observers: Vec::new(),
             registry: None,
         }
     }
@@ -341,14 +337,6 @@ impl Simulation {
         self
     }
 
-    /// Attach a periodic observer: it receives an engine snapshot every
-    /// `every_steps` steps (see [`SlottedEngine::add_observer`]).
-    /// Repeatable. Observers never perturb results.
-    pub fn observer(mut self, observer: SharedObserver, every_steps: u64) -> Self {
-        self.observers.push((observer, every_steps));
-        self
-    }
-
     /// Instrument built engines into `registry` (hot-path span timers
     /// and the `engine.steps` counter; see [`SlottedEngine::instrument`]).
     pub fn registry(mut self, registry: &plc_obs::Registry) -> Self {
@@ -391,9 +379,6 @@ impl Simulation {
             engine.add_sink(s.clone());
         }
         engine.check_wire_teis()?;
-        for (obs, every) in &self.observers {
-            engine.add_observer(obs.clone(), *every);
-        }
         if let Some(reg) = &self.registry {
             engine.instrument(reg)?;
         }
@@ -447,7 +432,7 @@ impl Simulation {
     }
 
     /// Build, run to the horizon, and summarize. The single entry point:
-    /// attached sinks, observers and instrumentation all apply.
+    /// attached sinks and instrumentation both apply.
     ///
     /// # Panics
     ///
@@ -571,9 +556,6 @@ impl Simulation {
         }
         if !self.sinks.is_empty() {
             return reject("trace sinks");
-        }
-        if !self.observers.is_empty() {
-            return reject("periodic observers");
         }
         Ok(())
     }
@@ -1078,25 +1060,17 @@ mod tests {
 
     #[test]
     fn observers_and_registry_do_not_perturb_results() {
-        use parking_lot::Mutex;
-        use std::sync::Arc;
         let plain = Simulation::ieee1901(3).horizon_us(1e6).seed(5).run();
-        let collector = Arc::new(Mutex::new(plc_obs::CollectingObserver::default()));
         let registry = plc_obs::Registry::new();
         let observed = Simulation::ieee1901(3)
             .horizon_us(1e6)
             .seed(5)
-            .observer(collector.clone(), 500)
             .registry(&registry)
             .run();
         assert_eq!(plain, observed, "observation must be read-only");
-        let snaps = collector.lock();
-        assert!(!snaps.engine.is_empty(), "periodic snapshots must arrive");
-        let first = &snaps.engine[0];
-        assert_eq!(first.step, 500);
-        assert_eq!(first.stations.len(), 3);
-        assert_eq!(first.stage_occupancy().iter().sum::<usize>(), 3);
+        // Every slot is counted, skipped idle ones included.
+        let m = &plain.metrics;
         let steps = registry.snapshot().counter("engine.steps").unwrap();
-        assert!(steps >= snaps.engine.len() as u64 * 500);
+        assert_eq!(steps, m.idle_slots + m.successes + m.collision_events);
     }
 }

@@ -104,63 +104,9 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    parallel_map_with_progress(workers, items, f, |_| {})
-}
-
-/// [`parallel_map`] with a progress callback.
-///
-/// `on_done` is invoked with the number of completed items (1 ≤ n ≤
-/// `items.len()`) from the **calling thread** (the result collector), in
-/// completion order — it observes progress without being able to affect
-/// the results, which stay bit-identical for any worker count.
-pub fn parallel_map_with_progress<I, T, F, P>(
-    workers: usize,
-    items: Vec<I>,
-    f: F,
-    mut on_done: P,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-    P: FnMut(usize),
-{
-    let mut done = 0usize;
-    parallel_map_observed(workers, items, f, |_, _| {
-        done += 1;
-        on_done(done);
-    })
-}
-
-/// The worker-pool core every `parallel_map` variant builds on: evaluate
-/// `f(index, item)` on a fixed-size pool, calling `on_result(index,
-/// &result)` from the **calling thread** (the result collector) as each
-/// item completes, in completion order.
-///
-/// `on_result` sees results before input-order reassembly — progress
-/// reporting uses it to count finished items as they land — but it
-/// receives only a shared reference, so it cannot perturb the returned
-/// vector, which stays bit-identical for any worker count.
-///
-/// Execution is delegated to [`BatchRunner`](crate::batch::BatchRunner)'s
-/// shared queue; see that type for the full determinism contract (and
-/// for the attached registry, which this registry-less wrapper does not
-/// expose).
-pub fn parallel_map_observed<I, T, F, P>(
-    workers: usize,
-    items: Vec<I>,
-    f: F,
-    on_result: P,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-    P: FnMut(usize, &T),
-{
     crate::batch::BatchRunner::new()
         .workers(workers)
-        .run_observed(items, |i, item, _| f(i, item), on_result)
+        .run(items, |i, item, _| f(i, item))
 }
 
 /// Render a caught panic payload as a human-readable reason string.
@@ -212,7 +158,6 @@ pub struct SweepGrid {
     master_seed: u64,
     workers: Option<usize>,
     early_stop: Option<EarlyStop>,
-    observers: Vec<plc_obs::SharedObserver>,
     registry: Option<plc_obs::Registry>,
 }
 
@@ -225,7 +170,6 @@ impl std::fmt::Debug for SweepGrid {
             .field("master_seed", &self.master_seed)
             .field("workers", &self.workers)
             .field("early_stop", &self.early_stop)
-            .field("observers", &self.observers.len())
             .field("registry", &self.registry.is_some())
             .finish()
     }
@@ -243,7 +187,6 @@ impl SweepGrid {
             master_seed,
             workers: None,
             early_stop: None,
-            observers: Vec::new(),
             registry: None,
         }
     }
@@ -277,16 +220,6 @@ impl SweepGrid {
     /// Enable early stopping per point.
     pub fn early_stop(mut self, rule: EarlyStop) -> Self {
         self.early_stop = Some(rule);
-        self
-    }
-
-    /// Attach a progress observer. It receives a
-    /// [`SweepProgress`](plc_obs::SweepProgress) (completed/total units,
-    /// elapsed wall time, ETA) from the collector thread as work units
-    /// finish. Repeatable. Observers cannot perturb the sweep's results:
-    /// the JSON export stays byte-identical with or without them.
-    pub fn observer(mut self, observer: plc_obs::SharedObserver) -> Self {
-        self.observers.push(observer);
         self
     }
 
@@ -370,30 +303,6 @@ impl SweepGrid {
             .enumerate()
             .map(|(idx, (label, template, n))| (idx, label, template, n))
             .collect()
-    }
-
-    /// Progress callback of [`run`](SweepGrid::run). Progress is observed
-    /// from the collector thread (wall-clock ETA, completion order); it
-    /// cannot feed back into the results.
-    fn notify(&self, started: std::time::Instant, done: usize, total: usize) {
-        if self.observers.is_empty() {
-            return;
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        let eta = if done > 0 && done < total {
-            elapsed / done as f64 * (total - done) as f64
-        } else {
-            0.0
-        };
-        let progress = plc_obs::SweepProgress {
-            completed: done,
-            total,
-            elapsed_secs: elapsed,
-            eta_secs: eta,
-        };
-        for o in &self.observers {
-            o.lock().on_sweep_progress(&progress);
-        }
     }
 
     /// The instrumented single-cell runner both execution paths share.
@@ -514,20 +423,15 @@ impl SweepGrid {
     /// whole overnight sweep.
     pub fn run(&self) -> SweepResults {
         let points = self.grid_points();
-        let started = std::time::Instant::now();
         let timed_cell = self.timed_cell_fn();
         let workers = self.num_workers();
 
         let results = if self.early_stop.is_some() {
             // Early stopping makes a point's replication count depend on
             // its own running CI, so the unit of work is the whole point.
-            let total_points = points.len();
-            parallel_map_with_progress(
-                workers,
-                points,
-                |_, (idx, label, template, n)| self.run_point(&timed_cell, idx, label, template, n),
-                |done| self.notify(started, done, total_points),
-            )
+            parallel_map(workers, points, |_, (idx, label, template, n)| {
+                self.run_point(&timed_cell, idx, label, template, n)
+            })
         } else {
             // Fixed replication counts: fan out at (point, replication)
             // granularity for load balance, then merge each point's
@@ -556,18 +460,12 @@ impl SweepGrid {
                 })
                 .collect();
             let master = self.master_seed;
-            let total_cells = cells.len();
-            let reports = parallel_map_with_progress(
-                workers,
-                cells,
-                |_, (idx, template, n, rep)| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        timed_cell(template, n, master, idx as u64, rep)
-                    }))
-                    .map_err(panic_reason)
-                },
-                |done| self.notify(started, done, total_cells),
-            );
+            let reports = parallel_map(workers, cells, |_, (idx, template, n, rep)| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    timed_cell(template, n, master, idx as u64, rep)
+                }))
+                .map_err(panic_reason)
+            });
             points
                 .iter()
                 .map(|&(idx, label, _, n)| {
@@ -924,29 +822,20 @@ mod tests {
         assert_eq!(fanned, pointwise);
     }
 
+    /// The attached registry reads a sweep's progress: one `sweep.cells`
+    /// count and one `sweep.cell` span per finished cell.
     #[test]
     fn progress_observer_sees_every_cell() {
-        use parking_lot::Mutex as PlMutex;
-        use std::sync::Arc;
-        let collector = Arc::new(PlMutex::new(plc_obs::CollectingObserver::default()));
         let registry = plc_obs::Registry::new();
         let results = SweepGrid::new(9)
             .config("ca1", Simulation::ieee1901(1).horizon_us(1e5))
             .stations([2, 3])
             .replications(2)
             .workers(2)
-            .observer(collector.clone())
             .registry(&registry)
             .run();
         assert_eq!(results.points.len(), 2);
-        let progress = collector.lock().progress.clone();
-        // 2 points × 2 replications = 4 cells, one report each.
-        assert_eq!(progress.len(), 4);
-        assert!(progress.windows(2).all(|w| w[0].completed < w[1].completed));
-        let last = progress.last().unwrap();
-        assert_eq!(last.completed, 4);
-        assert_eq!(last.total, 4);
-        assert_eq!(last.eta_secs, 0.0);
+        // 2 points × 2 replications = 4 cells, one span each.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sweep.cells"), Some(4));
         assert_eq!(snap.timer("sweep.cell").unwrap().count, 4);
@@ -962,7 +851,6 @@ mod tests {
         let observed = grid
             .clone()
             .workers(4)
-            .observer(plc_obs::shared(plc_obs::CollectingObserver::default()))
             .registry(&plc_obs::Registry::new())
             .run();
         assert_eq!(bare, observed);

@@ -1,5 +1,5 @@
-//! Zero-allocation pins for the engine hot loops and the mean-field
-//! delay walk.
+//! Zero-allocation pins for the engine hot loops, with and without a
+//! registry attached, and the mean-field delay walk.
 //!
 //! The SoA contention core (its rings and clocks, or its batched RNG
 //! draw buffer) and the reused scratch vectors exist so that
@@ -73,12 +73,19 @@ fn traffic_allocs(
     fast_forward: bool,
     soa: bool,
 ) -> u64 {
-    let sim = Simulation::ieee1901(n)
-        .horizon_us(horizon_us)
-        .seed(42)
-        .traffic(traffic)
-        .fast_forward(fast_forward)
-        .soa(soa);
+    sim_allocs(
+        n,
+        Simulation::ieee1901(n)
+            .horizon_us(horizon_us)
+            .seed(42)
+            .traffic(traffic)
+            .fast_forward(fast_forward)
+            .soa(soa),
+    )
+}
+
+/// Allocations of running the `n`-station `sim`.
+fn sim_allocs(n: usize, sim: Simulation) -> u64 {
     let (report, count) = allocs_during(|| sim.run());
     if n >= 500 {
         assert!(report.metrics.collision_events > 0);
@@ -145,6 +152,43 @@ fn poisson_run_does_not_allocate_per_step() {
             short, long,
             "Poisson N = 10 (fast-forward {fast_forward}, soa {soa}) allocated per step"
         );
+    }
+}
+
+#[test]
+fn instrumented_runs_do_not_allocate_per_step() {
+    // With a registry attached the engine takes its instrumented loops:
+    // the batched-timer fast loop, or a span per slot without the
+    // fast-forward. Each run gets a fresh registry, so registering the
+    // engine's metrics costs both horizons the same.
+    let poisson = TrafficModel::Poisson {
+        rate_per_us: 3.0e-5,
+        queue_cap: 8,
+    };
+    for (n, traffic) in [
+        (10, TrafficModel::Saturated),
+        (500, TrafficModel::Saturated),
+        (10, poisson),
+    ] {
+        for fast_forward in [true, false] {
+            let allocs = |horizon_us: f64| {
+                let registry = plc_obs::Registry::new();
+                let sim = Simulation::ieee1901(n)
+                    .horizon_us(horizon_us)
+                    .seed(42)
+                    .traffic(traffic)
+                    .fast_forward(fast_forward)
+                    .registry(&registry);
+                let count = sim_allocs(n, sim);
+                assert!(registry.snapshot().counter("engine.steps") > Some(0));
+                count
+            };
+            let (short, long) = (allocs(1e6), allocs(2e6));
+            assert_eq!(
+                short, long,
+                "instrumented N = {n} {traffic:?} (fast-forward {fast_forward}) allocated per step"
+            );
+        }
     }
 }
 

@@ -4,14 +4,15 @@
 //! BPC/stage arrays, with BC/DC either event-indexed (saturated 1901) or
 //! packed and swept in one pass. The rebuild claims *exactness*: with the
 //! SoA core on or off, the event trace (including per-slot snapshots),
-//! the metrics struct, observer snapshots and the sweep JSON export are
-//! byte-for-byte identical — not statistically close, identical. Redraws
+//! the metrics struct, the engine's per-station `snapshot` readings and
+//! the sweep JSON export are byte-for-byte identical — not statistically close, identical. Redraws
 //! consume the RNG stream in exactly the per-object call order, so even
 //! the raw generator state matches slot for slot.
 //!
 //! These tests pin that claim across both protocols, beacons, impulse
 //! noise, unsaturated traffic, PB errors, bursts, retry-limit drops,
-//! per-slot snapshot emission, observers, and both fast-forward modes.
+//! per-slot snapshot emission, stepped engines, and both fast-forward
+//! modes.
 //! Saturated 1901 populations run the core's event-indexed layout; the
 //! `across_bitset_words` cases pin it where its station bitsets need one
 //! word (N ≤ 64) and several (N = 65, 130, 500), and a window table wide
@@ -29,6 +30,7 @@ use plc_mac::retry::RetryPolicy;
 use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
 use plc_sim::bursting::BurstPolicy;
 use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
+use plc_sim::metrics::Metrics;
 use plc_sim::runner::{SimReport, Simulation};
 use plc_sim::trace::{TraceEvent, VecTraceSink};
 use plc_sim::traffic::TrafficModel;
@@ -159,25 +161,43 @@ fn equivalent_everything_at_once() {
     assert!(report.metrics.beacons > 0);
 }
 
+/// Step `sim`'s engine slot by slot (the per-slot path, no idle jump)
+/// to its horizon, calling `probe` after every `every` steps, and return
+/// the final metrics.
+fn stepped(
+    sim: &Simulation,
+    every: usize,
+    mut probe: impl FnMut(&SlottedEngine<AnyBackoff>),
+) -> Metrics {
+    let mut engine = sim.build();
+    loop {
+        let before = engine.steps();
+        engine.run_steps(every);
+        if engine.steps() - before < every as u64 {
+            return engine.metrics().clone();
+        }
+        probe(&engine);
+    }
+}
+
 #[test]
 fn observer_snapshots_are_identical() {
-    // EngineObs synthesizes per-station backoff state from the core.
+    // `snapshot(i)` synthesizes per-station backoff state from the core;
+    // compare it, with the slot tallies, every 500 steps.
     let observe = |soa: bool| {
-        let collector = Arc::new(Mutex::new(plc_obs::CollectingObserver::default()));
-        let report = Simulation::ieee1901(3)
-            .horizon_us(1e6)
-            .seed(8)
-            .soa(soa)
-            .observer(collector.clone(), 500)
-            .run();
-        let snaps = std::mem::take(&mut collector.lock().engine);
-        (report, snaps)
+        let sim = Simulation::ieee1901(3).horizon_us(1e6).seed(8).soa(soa);
+        let mut snaps = Vec::new();
+        let metrics = stepped(&sim, 500, |e| {
+            let stations: Vec<_> = (0..3).map(|i| e.snapshot(i)).collect();
+            snaps.push((e.metrics().clone(), stations));
+        });
+        (metrics, snaps)
     };
-    let (soa_report, soa_snaps) = observe(true);
-    let (obj_report, obj_snaps) = observe(false);
-    assert_eq!(soa_report, obj_report);
+    let (soa_metrics, soa_snaps) = observe(true);
+    let (obj_metrics, obj_snaps) = observe(false);
+    assert_eq!(soa_metrics, obj_metrics);
     assert!(!soa_snaps.is_empty(), "periodic snapshots must arrive");
-    assert_eq!(soa_snaps, obj_snaps, "observer snapshots diverged");
+    assert_eq!(soa_snaps, obj_snaps, "periodic snapshots diverged");
 }
 
 #[test]
@@ -200,34 +220,32 @@ fn sweep_json_is_byte_identical() {
 /// word of the event-indexed layout.
 const WORD_SPANNING: [usize; 5] = [63, 64, 65, 130, 500];
 
-/// One digest per engine snapshot, so two runs compare every station's
-/// backoff state step for step without holding N × steps snapshots.
-#[derive(Default)]
-struct DigestObserver(Vec<u64>);
-
-impl plc_obs::Observer for DigestObserver {
-    fn on_engine(&mut self, obs: &plc_obs::EngineObs) {
-        // FNV-1a over whole words: a single differing word always
-        // changes the digest.
-        let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x100_0000_01b3);
-        let mut h = mix(0xcbf2_9ce4_8422_2325, obs.t_us.to_bits());
-        h = mix(h, obs.idle_slots);
-        h = mix(h, obs.successes);
-        h = mix(h, obs.collision_events);
-        for s in &obs.stations {
-            h = mix(h, s.bc as u64 | (s.cw as u64) << 32);
-            h = mix(h, s.bpc as u64 | (s.stage as u64) << 32);
-            h = mix(h, s.dc.map_or(u64::MAX, u64::from));
-        }
-        self.0.push(h);
+/// A digest of the engine's time, slot tallies and every station's
+/// backoff state, so two runs compare step for step without holding
+/// N × steps snapshots.
+fn digest(engine: &SlottedEngine<AnyBackoff>) -> u64 {
+    // FNV-1a over whole words: a single differing word always changes
+    // the digest.
+    let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x100_0000_01b3);
+    let m = engine.metrics();
+    let mut h = mix(0xcbf2_9ce4_8422_2325, engine.time().as_micros().to_bits());
+    h = mix(h, m.idle_slots);
+    h = mix(h, m.successes);
+    h = mix(h, m.collision_events);
+    for i in 0..engine.num_stations() {
+        let s = engine.snapshot(i);
+        h = mix(h, s.bc as u64 | (s.cw as u64) << 32);
+        h = mix(h, s.bpc as u64 | (s.stage as u64) << 32);
+        h = mix(h, s.dc.map_or(u64::MAX, u64::from));
     }
+    h
 }
 
 /// [`assert_soa_equivalent`] for an `n`-station `sim`. Wire events
 /// address stations by TEI, which holds at most 254 of them, so a larger
-/// population cannot carry a sink: its reports must match, and an
-/// observer compares every station's backoff state after every step
-/// (observers force per-slot stepping).
+/// population cannot carry a sink: its reports must match, and a
+/// [`digest`] after every step of the stepped engines compares every
+/// station's backoff state.
 fn assert_soa_equivalent_at(n: usize, sim: Simulation) -> SimReport {
     if n < 254 {
         return assert_soa_equivalent(sim).0;
@@ -235,10 +253,9 @@ fn assert_soa_equivalent_at(n: usize, sim: Simulation) -> SimReport {
     let soa = sim.clone().soa(true).run();
     assert_eq!(soa, sim.clone().soa(false).run(), "N = {n} reports");
     let observe = |soa: bool| {
-        let digests = Arc::new(Mutex::new(DigestObserver::default()));
-        sim.clone().soa(soa).observer(digests.clone(), 1).run();
-        let steps = std::mem::take(&mut digests.lock().0);
-        steps
+        let mut digests = Vec::new();
+        stepped(&sim.clone().soa(soa), 1, |e| digests.push(digest(e)));
+        digests
     };
     let (soa_steps, obj_steps) = (observe(true), observe(false));
     assert!(!soa_steps.is_empty());

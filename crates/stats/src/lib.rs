@@ -12,8 +12,8 @@
 //!   (its prior work \[4\]) and our extension experiment E4.
 //! * [`hist::Histogram`] — integer-bucket histograms (burst sizes,
 //!   inter-transmission counts).
-//! * [`quantile::P2Quantile`] — streaming quantile estimation (P²) for
-//!   delay tails without storing traces.
+//! * [`quantile_from_cdf`] — the quantile of a tabulated CDF (the
+//!   mean-field delay distribution's p50/p90/p99).
 //! * [`table::Table`] — fixed-width text tables so every experiment prints
 //!   rows the way the paper's tables read.
 
@@ -28,6 +28,6 @@ pub mod table;
 
 pub use fairness::{jain_index, windowed_jain};
 pub use hist::Histogram;
-pub use quantile::{quantile_from_cdf, P2Quantile};
+pub use quantile::quantile_from_cdf;
 pub use summary::{Summary, Welford};
 pub use table::Table;

@@ -19,7 +19,7 @@
 //! | [`analysis`] | `plc-analysis` | coupled round model, decoupled model, Bianchi, boosting |
 //! | [`testbed`] | `plc-testbed` | emulated devices, MME bus, ampstat/faifa, §3.2 methodology |
 //! | [`stats`] | `plc-stats` | summaries, confidence intervals, fairness, histograms |
-//! | [`obs`] | `plc-obs` | counters/gauges/histograms/span-timers, engine & sweep observers |
+//! | [`obs`] | `plc-obs` | metric registry: counters and span timers |
 //! | [`faults`] | `plc-faults` | deterministic fault plans: MME loss/delay, brownouts, wrap, noise, retry policies |
 //! | [`jobs`] | `plc-jobs` | crash-tolerant sweep jobs: checkpoint journal, exact resume, watchdogs, quarantine |
 //! | [`boost`] | `plc-boost` | closed-loop config boosting: successive halving over (CW, DC) schedules against a scenario portfolio, Pareto-front artifact |
@@ -72,9 +72,7 @@ pub mod prelude {
     pub use plc_core::units::Microseconds;
     pub use plc_jobs::{Job, JobConfig, JobStatus, ResultSink};
     pub use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf, BackoffProcess, RetryPolicy};
-    pub use plc_obs::{
-        shared, CollectingObserver, EngineObs, Observer, Registry, SharedObserver, SweepProgress,
-    };
+    pub use plc_obs::Registry;
     pub use plc_phy::{ChannelModel, PbErrorModel, PhyRate, ToneMap};
     pub use plc_sim::{
         Backend, BatchRunner, BurstPolicy, EarlyStop, MultiDomainReport, PaperSim, Quantity,

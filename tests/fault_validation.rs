@@ -1,7 +1,7 @@
 //! Workspace-level pins of ISSUE 4's determinism contract: for a fixed
 //! `(master_seed, FaultPlan)` the whole measurement stack — fault-injected
 //! testbed runs and panic-contained sweeps — produces byte-identical JSON
-//! regardless of worker count or attached observers. Fault injection is
+//! regardless of worker count or an attached registry. Fault injection is
 //! allowed to *change* results (that is its job); it is never allowed to
 //! make them *irreproducible*.
 
@@ -67,7 +67,7 @@ fn chaos_experiment_is_deterministic_and_observer_independent() {
 }
 
 /// Sweeps with noise bursts injected into the engine are byte-identical
-/// across worker counts and unaffected by progress observers.
+/// across worker counts.
 #[test]
 fn noisy_sweep_json_is_worker_count_and_observer_invariant() {
     let noisy = |seed: u64| {
@@ -89,10 +89,6 @@ fn noisy_sweep_json_is_worker_count_and_observer_invariant() {
     let serial = grid(1).run().to_json();
     let fanned = grid(4).run().to_json();
     assert_eq!(serial, fanned, "worker count must not leak into results");
-
-    let progress = shared(CollectingObserver::default());
-    let observed = grid(4).observer(progress).run().to_json();
-    assert_eq!(serial, observed, "observers must not leak into results");
 }
 
 /// A panicking point is contained as a `Failed` record while every other
