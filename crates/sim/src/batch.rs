@@ -90,36 +90,27 @@ impl BatchRunner {
         T: Send,
         F: Fn(usize, I, &Registry) -> T + Sync,
     {
-        self.run_observed(items, f, |_, _| {})
-    }
-
-    /// [`run`](BatchRunner::run) with a result hook: `on_result(index,
-    /// &result)` is invoked from the **calling thread** as each item
-    /// completes, in completion order. The hook receives only a shared
-    /// reference, so it can persist or count results (checkpointers,
-    /// progress bars) without being able to perturb the returned
-    /// vector, which stays bit-identical for any worker count.
-    pub fn run_observed<I, T, F, P>(&self, items: Vec<I>, f: F, on_result: P) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I, &Registry) -> T + Sync,
-        P: FnMut(usize, &T),
-    {
-        self.run_cancellable(&CancelToken::new(), items, f, on_result)
+        self.run_cancellable(&CancelToken::new(), items, f, |_, _| {})
             .into_iter()
             .map(|r| r.expect("a token that never fires skips no item"))
             .collect()
     }
 
-    /// [`run_observed`](BatchRunner::run_observed) with cooperative
-    /// cancellation: each worker checks `token` **before it takes an
+    /// [`run`](BatchRunner::run) with cooperative cancellation and a
+    /// result hook. Each worker checks `token` **before it takes an
     /// item** and takes no more once it fires (an item already running
     /// completes — per-item interruption is the engine's own
     /// [`cancel`](crate::Simulation::cancel) hook). Results come back
     /// in input order as `Some` for items that ran and `None` for items
     /// skipped after cancellation; a token that never fires yields all
     /// `Some`, bit-identical to [`run`](BatchRunner::run).
+    ///
+    /// `on_result(index, &result)` is invoked from the **calling
+    /// thread** as each item completes, in completion order. The hook
+    /// receives only a shared reference, so it can persist or count
+    /// results (the job layer's checkpointer) without being able to
+    /// perturb the returned vector, which stays bit-identical for any
+    /// worker count.
     pub fn run_cancellable<I, T, F, P>(
         &self,
         token: &CancelToken,
@@ -235,7 +226,8 @@ mod tests {
         for workers in [2, 3] {
             let others = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
             let mut seen = [0u32; ITEMS];
-            let out = BatchRunner::new().workers(workers).run_observed(
+            let out = BatchRunner::new().workers(workers).run_cancellable(
+                &plc_core::CancelToken::new(),
                 (0..ITEMS as u64).collect(),
                 |i, x, _| {
                     let (done, ran) = &others;
@@ -258,6 +250,7 @@ mod tests {
                     seen[i] += 1;
                 },
             );
+            let out: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
             assert_eq!(out, (0..ITEMS as u64).map(|x| x * 2).collect::<Vec<_>>());
             assert!(seen.iter().all(|&c| c == 1), "{workers} workers: {seen:?}");
         }
@@ -345,7 +338,8 @@ mod tests {
     #[test]
     fn on_result_sees_every_index_once() {
         let mut seen = [0u32; 20];
-        BatchRunner::new().workers(3).run_observed(
+        BatchRunner::new().workers(3).run_cancellable(
+            &plc_core::CancelToken::new(),
             (0..20u64).collect(),
             |_, x, _| x,
             |i, &r| {
