@@ -40,9 +40,9 @@
 //! ```
 //!
 //! This crate deliberately depends only on `plc-core` and the vendored
-//! `serde` / `parking_lot`, never on the simulator crates, so `plc-sim`,
-//! `plc-bench` and `plc-testbed` can all instrument themselves through
-//! it without dependency cycles.
+//! `serde` / `serde_json` / `parking_lot`, never on the simulator crates,
+//! so `plc-sim`, `plc-bench` and `plc-testbed` can all instrument
+//! themselves through it without dependency cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

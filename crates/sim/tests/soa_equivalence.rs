@@ -5,9 +5,10 @@
 //! packed and swept in one pass. The rebuild claims *exactness*: with the
 //! SoA core on or off, the event trace (including per-slot snapshots),
 //! the metrics struct, the engine's per-station `snapshot` readings and
-//! the sweep JSON export are byte-for-byte identical — not statistically close, identical. Redraws
-//! consume the RNG stream in exactly the per-object call order, so even
-//! the raw generator state matches slot for slot.
+//! the sweep JSON export are byte-for-byte identical — not statistically
+//! close, identical. Redraws consume the RNG stream in exactly the
+//! per-object call order, so even the raw generator state matches slot
+//! for slot.
 //!
 //! These tests pin that claim across both protocols, beacons, impulse
 //! noise, unsaturated traffic, PB errors, bursts, retry-limit drops,
