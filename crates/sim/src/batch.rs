@@ -18,6 +18,10 @@
 //!   [`Registry`] itself and records straight into it from its worker.
 //!   Counters and span-timer counts are exact sums for any worker count
 //!   (timer durations are wall clock, never deterministic).
+//! * **Cancellation and a result hook** — [`BatchRunner::run_cancellable`]
+//!   stops handing out items once its token fires and shows each result
+//!   to a hook on the calling thread as it lands; the job layer
+//!   journals settled points through it.
 
 use crate::runner::{SimReport, Simulation};
 use parking_lot::Mutex;
