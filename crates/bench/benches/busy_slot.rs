@@ -1,14 +1,13 @@
 //! Microbenchmark for the contention core's busy slot alone.
 //!
-//! Drives `plc_sim`'s contention core through idle/success/collision
-//! slots (with the fused fast-forward cache fold) without any of the
-//! engine's traffic, metrics or trace plumbing, so regressions in the
-//! busy-slot cost show up undiluted. Each iteration advances 1 000
-//! slots, so the cost per slot ≈ reported time / 1 000. A saturated
-//! CA1 population runs the event-indexed layout, whose busy slot visits
-//! only the stations that change course (transmitters and expired
-//! deferral counters, ≈35 per busy slot at n = 500) plus one bitset
-//! bucket of ⌈n/64⌉ words: the cost follows those events, not n. At
+//! Drives `plc_sim`'s contention core through idle and busy slots (each
+//! followed by the fast-forward cache fold) without any of the engine's
+//! traffic, metrics or trace plumbing, so regressions in the busy-slot
+//! cost show up undiluted. Each iteration advances 1 000 slots, so the
+//! cost per slot ≈ reported time / 1 000. A saturated CA1 population's
+//! busy slot visits only the stations that change course (transmitters
+//! and expired deferral counters, ≈35 per busy slot at n = 500) plus one
+//! bitset bucket of ⌈n/64⌉ words: the cost follows those events, not n. At
 //! saturation the events themselves grow with n, which the n = 1 000
 //! point tracks. A multi-word busy slot lists the visited stations and
 //! makes one flat pass over them, with no branch per station and no

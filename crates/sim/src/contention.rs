@@ -3,54 +3,58 @@
 //! [`SlottedEngine`](crate::engine::SlottedEngine) is generic over
 //! [`BackoffProcess`](plc_mac::process::BackoffProcess) objects, which is
 //! the right shape for correctness and protocol ablations but the wrong
-//! shape for a saturated medium: walking a `Vec<StationCtx>` of ~100-byte
+//! shape for a busy medium: walking a `Vec<StationCtx>` of ~100-byte
 //! structs costs several cache lines per station plus an enum dispatch
-//! per event. When every station's process exports a
-//! [`SoaView`](plc_mac::process::SoaView), the engine moves the counters
-//! into this core, which keeps them in one of two layouts.
+//! per event. When every station's process exports a [`SoaView`], the
+//! engine moves the counters into this core, which stores *when* each
+//! counter runs out rather than the counter.
 //!
-//! # Event-indexed layout (saturated single-class IEEE 1901)
+//! # Clocks
 //!
-//! A 1901 station changes course only when one of its two clocks runs
+//! A 1901 station changes course only when one of its two counters runs
 //! out: BC counts down on every contention slot, DC on every busy slot.
-//! For the all-backlogged, single-class 1901 population — the saturated
-//! benchmark regime — the core therefore stores *when* each clock runs
-//! out rather than the counters:
+//! An 802.11 DCF station has BC alone, and it stops while the medium is
+//! busy. The core keeps one clock per counter:
 //!
-//! * `slot` counts contention slots (idle and busy), `busy` counts busy
-//!   slots;
+//! * `slot`, the BC clock: 1901 advances it on every contention slot,
+//!   idle or busy; DCF on idle slots only, so a busy slot leaves it, and
+//!   with it every deferring station's BC, where it is;
+//! * `busy`, the DC clock: it counts 1901's busy slots (DCF never moves
+//!   it);
 //! * station `i` keeps `tx_at[i]`, the `slot` at which its BC reaches 0
 //!   (`BC = tx_at − slot`), and `dc_at[i]`, the `busy` index at which its
 //!   DC reaches 0 (`DC = dc_at − busy`; [`NEVER`] when deferral is
-//!   disabled);
+//!   disabled, as it always is under DCF);
 //! * each number is also filed in a power-of-two ring of station bitsets
 //!   (⌈N/64⌉ words per bucket; see below for N ≤ 64): bucket
 //!   `tx_at mod R_tx` of the transmit ring, bucket `dc_at mod R_dc` of
 //!   the deferral ring. Between slots a `tx_at` lies in
 //!   `[slot, slot + max CW − 1]` and a `dc_at` in `[busy, busy + max DC]`,
-//!   so with at least max CW and max DC + 1 buckets every bucket holds one
-//!   clock value. A redraw can file a full lap ahead, into a bucket being
-//!   read, but a busy slot empties the buckets it reads before it files
-//!   any station. Both rings are sized once from the class table and
-//!   never grow.
+//!   so with at least max CW and max DC + 1 buckets (the largest of any
+//!   class table) every bucket holds one clock value. A redraw can file
+//!   a full lap ahead, into a bucket being read, but a busy slot empties
+//!   the buckets it reads before it files any station. Both rings are
+//!   sized once and never grow.
 //!
 //! A busy slot visits only `tx_ring[slot] | dc_ring[busy]` — the
-//! transmitters plus the stations whose DC ran out — and redraws each;
-//! every other station's BC and DC drop by one when `slot` and `busy`
-//! advance. An idle slot is `slot += 1`, a fast-forward jump over `k`
-//! idle slots is `slot += k`, and the next slot's transmitter set is the
-//! bucket `tx_ring[slot]`. The minimum BC (the fast-forward jump length)
-//! is needed only when that bucket is empty, and only then computed: the
+//! transmitters plus the stations whose DC ran out — and redraws each
+//! from its own class table (a one-table population hoists the table out
+//! of the pass). Every other station's BC and DC drop by one when `slot`
+//! and `busy` advance, or, under DCF, hold because neither does. An idle
+//! slot is `slot += 1`, a fast-forward jump over `k` idle slots is
+//! `slot += k`, and the next slot's transmitter set is the bucket
+//! `tx_ring[slot]`. The minimum BC (the fast-forward jump length) is
+//! needed only when that bucket is empty, and only then computed: the
 //! distance to the next non-empty transmit bucket.
 //!
-//! The decrement was never the cost. On the packed layout below at
-//! N = 500 (CA1), an idle sweep — decrement and fold every station,
-//! nothing else — takes ≈0.7 µs, a busy slot ≈2.9 µs. The rest is the
-//! ≈35 stations that change course on a busy slot (≈9 transmitters and
-//! ≈26 deferral redraws, averaged over 34,000 busy slots), each picked
-//! out by a data-dependent branch of the O(N) loop and queued for its
-//! redraw. Visiting only those stations brings the busy slot to ≈1.1 µs
-//! (`busy_slot/500`: 3.75 → 1.12 ms per 1,000 slots).
+//! The decrement was never the cost. On the packed `BC|DC` sweep these
+//! clocks replaced, at N = 500 (CA1), an idle sweep — decrement and fold
+//! every station, nothing else — took ≈0.7 µs, a busy slot ≈2.9 µs. The
+//! rest is the ≈35 stations that change course on a busy slot (≈9
+//! transmitters and ≈26 deferral redraws, averaged over 34,000 busy
+//! slots), each picked out by a data-dependent branch of the O(N) loop and
+//! queued for its redraw. Visiting only those stations brings the busy
+//! slot to ≈1.1 µs (`busy_slot/500`: 3.75 → 1.12 ms per 1,000 slots).
 //!
 //! Nor does a visit need a branch of its own. A multi-word busy slot
 //! takes both buckets whole, lists the visited stations in ascending
@@ -72,39 +76,44 @@
 //! clocks. A sparse ring (five stations at CW 8192 spread over 8,192
 //! buckets) would cost far more to walk, and 64 KB per engine to hold.
 //! They cache instead the earliest `tx_at` (`next_at`) and the bitset of
-//! the stations due at it (`next_mask`). Only a busy slot (and `new`)
-//! changes a `tx_at`, and it ends with one branch-free pass over at most
-//! 64 of them that refreshes both; idle slots and jumps move `slot`
-//! alone. So the transmitter set is `next_mask` once `slot == next_at`
-//! and empty before, the minimum BC is `next_at − slot`, and a jump
-//! clamped short of it (at the horizon, a beacon or a noise edge) needs
-//! no scan: every BC stays positive and the minimum drops by the jump.
+//! the stations due at it (`next_mask`). A busy slot ends with one
+//! branch-free pass over at most 64 clocks that refreshes both (left to
+//! the next read instead, saturated N = 10 ran ≈2.5 % slower). Parking
+//! and unparking mark the cache stale, and the next read refreshes it:
+//! once per batch of backlog changes (the opening of a
+//! priority-resolution round, a step's arrivals), not once per change.
+//! Idle slots and jumps move `slot` alone, so the transmitter set is
+//! `next_mask` once `slot == next_at` and empty before, the minimum BC
+//! is `next_at − slot`, and a jump clamped short of it (at the horizon,
+//! a beacon or a noise edge) needs no scan: every BC stays positive and
+//! the minimum drops by the jump.
 //!
-//! A population whose rings would exceed [`RING_BYTES_MAX`] (wide
-//! windows × many stations, e.g. N > 960 with a CW-8192 stage) stays on
-//! the packed layout. Like a [`CoreRejection`] fallback this changes no
-//! result, only the cost — the busy slot is O(N) again — but it is not
-//! counted in `engine.soa_fallbacks`: the struct-of-arrays core is still
-//! in use.
+//! # Parking
 //!
-//! # Packed layout (everything else)
+//! A station that stops contending — its queue ran dry, or priority
+//! resolution froze it — *parks*: it leaves both rings, both its clocks
+//! read [`NEVER`], and it holds its (BC, DC) as plain counters that no
+//! clock moves. The engine's backlog updates
+//! ([`set_active`](ContentionCore::set_active)) park and unpark at once
+//! and draw nothing; unparking files the held counters against the
+//! current clocks. A transmitter whose queue empties is still redrawn in
+//! its busy slot, with the word the per-object path draws, and the engine
+//! parks it after the slot's pass; an arrival's
+//! [`reset_now`](ContentionCore::reset_now) redraws the station from
+//! stage 0 and files it. A saturated population never parks, so its
+//! busy slot is the flat pass above with no flag to test: a prototype
+//! that tested one inside the pass ran a saturated N = 500 population
+//! 4 % slower.
 //!
-//! Dynamic backlog (Poisson, on/off), DCF, multi-table and mixed-priority
-//! populations (whose resolution rounds clear the losers' backlog flags)
-//! keep BC and DC packed into one `u32` per station (`bcdc`: BC in the
-//! low 16 bits, DC in the high 16, with `0xFFFF` as the disabled-DC
-//! sentinel) and sweep every backlogged station on each slot. A
-//! deferring station's whole slot update is one load, one compare
-//! (`word >= 0x10000` means `DC > 0`), one subtract and one store:
+//! # Fallbacks
 //!
-//! ```text
-//! word - 1 - (((word >> 16) != 0xFFFF) as u32) << 16   // BC -= 1, DC -= 1 unless disabled
-//! ```
-//!
-//! Stage and BPC live in separate arrays in both layouts — they are only
-//! touched on redraws. `from_views` rejects populations whose CW/DC
-//! values don't fit the packed domain (CW > 2¹⁶, DC ≥ 2¹⁶ − 1 yet not
-//! disabled), in which case the engine stays on the per-object path.
+//! A population the clocks cannot host keeps the per-object path, with a
+//! typed [`CoreRejection`] that the engine counts in
+//! `engine.soa_fallbacks`: one that mixes 1901 and DCF stations (their
+//! BC clocks run on different slots), one whose rings would exceed
+//! [`RING_BYTES_MAX`], and malformed views (an empty window or stage
+//! table, a stage past its table). Results are identical either way;
+//! only the cost differs.
 //!
 //! # Draw-order contract
 //!
@@ -117,20 +126,15 @@
 //! * every station loop in the engine mutates (and therefore redraws) in
 //!   ascending station order.
 //!
-//! The event layout draws as it visits: bit iteration yields stations in
-//! ascending order. The packed sweep runs in two passes: pass 1 walks
-//! stations in ascending order and *decides* who redraws (queueing
-//! `(station, cw)` pairs), pass 2 pre-fills the draw buffer from the
-//! engine RNG — one `next_u64` per queued redraw, in queue order — and
-//! applies the same multiply-shift. Either way the stream consumption is
+//! The core draws as it visits: bit iteration yields stations in
+//! ascending order, and the transmitters' stage and BPC bookkeeping,
+//! which draws nothing, runs before the pass. The stream consumption is
 //! word-for-word what the per-object path would have drawn.
 //!
-//! The fast-forward contention cache (`zero` set + min BC) is folded
-//! *inside* the sweeps (`TRACK = true`). In the packed layout stations
-//! whose BC is final fold inline, redrawn stations fold as their draw
-//! lands, and the two ascending zero sets merge with one ordered pass;
-//! the event layout reads the set off the next transmit bucket, or off
-//! the cached due set of a one-word population.
+//! The fast-forward contention cache (zero set + min BC) is read off the
+//! core once per step ([`fold`](ContentionCore::fold)): the next transmit
+//! bucket, or the cached due set of a one-word population, and the
+//! minimum BC only when that set is empty.
 
 use crate::trace::StationId;
 use plc_core::config::DC_DISABLED;
@@ -148,35 +152,27 @@ pub(crate) enum SweepAction {
     Advance,
 }
 
-const PROTO_DCF: u8 = 0;
-const PROTO_1901: u8 = 1;
-
-/// In-word disabled-DC sentinel (the packed 16-bit image of
-/// [`DC_DISABLED`]).
-const DC16_DISABLED: u32 = 0xFFFF;
-
-/// `dc_at` of a station whose deferral counter is disabled: its DC never
-/// runs out.
+/// A clock value no clock reaches: the `dc_at` of a station whose
+/// deferral counter is disabled, and both clocks of a parked station.
 const NEVER: u64 = u64::MAX;
 
-/// Most bytes both rings of an [`EventLayout`] may take together. A
-/// population that would need more stays on the packed layout.
+/// Most bytes both rings may take together. A population that would need
+/// more falls back to the per-object path
+/// ([`CoreRejection::RingsTooLarge`]).
 ///
-/// The cap keeps the rings within one core's L2 cache; it is not where
-/// the event layout starts to lose. Run time per busy slot of saturated
-/// `cw128-g4-dc1901` (5·10⁷ µs, best of 3, two rounds; a 2-vCPU Xeon
-/// with 2 MiB of L2 per core), event vs packed layout: N = 500 (0.5 MB
-/// of rings) 0.6–1.0 vs 3.6–4.6 µs, N = 1000 (1.05 MB) 1.5–2.1 vs
-/// 7.7–8.5 µs, N = 4000 (4.1 MB) 11–13 vs 29–33 µs, N = 16,000 (16.4 MB)
-/// 85–89 vs 99–103 µs. The gain falls from ≈5× to ≈1.15× once the rings
-/// outgrow L2, while they hold ≈1 KB per station at CW 8192.
-const RING_BYTES_MAX: usize = 1 << 20;
-
-/// Pack a (BC, 16-bit DC) pair into one word.
-#[inline]
-fn pack(bc: u32, dc16: u32) -> u32 {
-    bc | (dc16 << 16)
-}
+/// The cap bounds memory; it is not where the rings start to lose. Run
+/// time per busy slot of saturated `cw128-g4-dc1901` (5·10⁷ µs, best of
+/// 3, two rounds; a 2-vCPU Xeon with 2 MiB of L2 per core), event rings
+/// vs the packed `BC|DC` sweep they replaced: N = 500 (0.5 MB of rings)
+/// 0.6–1.0 vs 3.6–4.6 µs, N = 1000 (1.05 MB) 1.5–2.1 vs 7.7–8.5 µs,
+/// N = 4000 (4.1 MB) 11–13 vs 29–33 µs, N = 16,000 (16.4 MB) 85–89 vs
+/// 99–103 µs. The gain falls from ≈5× to ≈1.15× once the rings outgrow
+/// L2, while they hold ≈1 KB per station at CW 8192. At N = 30,000
+/// (30.8 MB; one run each, three rounds, a 2-vCPU Xeon with 2 MiB of L2
+/// per core) the rings take 102–114 µs per busy slot, level with the
+/// packed sweep's 102–106 µs and 2.2× ahead of the per-object path's
+/// 232–246 µs, which hosts a population above the cap.
+const RING_BYTES_MAX: usize = 32 << 20;
 
 /// Map one RNG word into `0..cw` exactly as the vendored
 /// `gen_range(0..cw)` does (see the module docs).
@@ -185,30 +181,39 @@ fn draw_below(x: u64, cw: u32) -> u32 {
     (((x as u128) * (cw as u128)) >> 64) as u32
 }
 
-/// Per-stage parameters of one distinct (protocol, table) combination.
-/// Stations index into these via `ContentionCore::class`, so homogeneous
-/// populations share one table.
+/// Per-stage parameters of one distinct stage table. Stations index into
+/// these via `ContentionCore::class`, so homogeneous populations share
+/// one table.
 struct ClassTable {
-    proto: u8,
     cw: Vec<u32>,
-    /// Per-stage DC reload values, already mapped to the packed 16-bit
-    /// domain ([`DC16_DISABLED`] for disabled).
-    dc16: Vec<u32>,
+    /// Per-stage DC reload values ([`DC_DISABLED`] for disabled).
+    dc: Vec<u32>,
     /// `num_stages − 1`: both protocols saturate stage lookups here.
     last: u32,
 }
 
-/// BC/DC store of the event-indexed layout. See the [module docs](self).
-struct EventLayout {
-    /// Contention slots elapsed, idle and busy: the BC clock.
+/// The BC/DC store: per-station clocks filed in event rings. See the
+/// [module docs](self).
+struct Clocks {
+    /// Every station's protocol: which slots move the BC clock, and how
+    /// a busy slot redraws.
+    proto: Protocol,
+    /// The BC clock: contention slots elapsed (1901), idle slots elapsed
+    /// (DCF).
     slot: u64,
     /// Busy slots elapsed: the DC clock.
     busy: u64,
-    /// Per station, the `slot` at which its BC reaches 0.
+    /// Per station, the `slot` at which its BC reaches 0 ([`NEVER`] while
+    /// parked).
     tx_at: Vec<u64>,
-    /// Per station, the `busy` index at which its DC reaches 0
-    /// ([`NEVER`] when disabled).
+    /// Per station, the `busy` index at which its DC reaches 0 ([`NEVER`]
+    /// when disabled or parked).
     dc_at: Vec<u64>,
+    /// Per station, the (BC, DC) it holds while parked ([`DC_DISABLED`]
+    /// for a disabled DC); unread while it is filed.
+    held: Vec<(u32, u32)>,
+    /// Stations filed (not parked).
+    filed: usize,
     /// Bitset words per bucket: ⌈N/64⌉.
     words: usize,
     /// Transmit ring: bucket `t mod R_tx` holds the stations with
@@ -223,79 +228,145 @@ struct EventLayout {
     /// `R_dc − 1`.
     dc_mask: u64,
     /// One-word populations only: the earliest `tx_at`, so the minimum
-    /// BC is `next_at − slot`.
+    /// BC is `next_at − slot` ([`NEVER`] when every station is parked).
     next_at: u64,
     /// One-word populations only: the stations whose `tx_at` is
     /// `next_at`, the transmit set once `slot` reaches it.
     next_mask: u64,
+    /// A `tx_at` changed since `next_at`/`next_mask` were computed; the
+    /// next read refreshes them (one-word populations only).
+    stale: bool,
     /// Multi-word populations only: the stations a busy slot visits,
     /// listed in ascending order before any of them redraws. Sized for
     /// every station at build, so no busy slot grows it.
     visit: Vec<StationId>,
 }
 
-impl EventLayout {
-    /// File the packed words of a single-class 1901 population, or `None`
-    /// when its rings would exceed [`RING_BYTES_MAX`].
-    fn new(bcdc: &[u32], t: &ClassTable) -> Option<Self> {
-        let on = |&dc: &u32| dc != DC16_DISABLED;
-        let max_cw = t.cw.iter().copied().max().unwrap_or(0);
-        let max_dc = t.dc16.iter().copied().filter(on).max().unwrap_or(0);
-        // A station's current counters come from the same table, but the
-        // view is arbitrary data: size for them too.
-        let max_bc0 = bcdc.iter().map(|w| w & 0xFFFF).max().unwrap_or(0);
-        let max_dc0 = bcdc.iter().map(|w| w >> 16).filter(on).max().unwrap_or(0);
-        let tx_buckets = (max_cw as usize)
-            .max(max_bc0 as usize + 1)
-            .next_power_of_two();
-        let dc_buckets = (max_dc.max(max_dc0) as usize + 1).next_power_of_two();
-        let words = bcdc.len().div_ceil(64);
+impl Clocks {
+    /// File every station's current counters against clocks at 0, or
+    /// refuse a population whose rings would exceed [`RING_BYTES_MAX`].
+    fn new(views: &[SoaView], classes: &[ClassTable]) -> Result<Self, CoreRejection> {
+        // A station's current counters come from its table, but the view
+        // is arbitrary data: size for them too.
+        let tx_buckets = (classes.iter().flat_map(|t| &t.cw))
+            .map(|&cw| cw as usize)
+            .chain(views.iter().map(|v| v.state.bc as usize + 1))
+            .max()
+            .map_or(1, usize::next_power_of_two);
+        let dc_buckets = (classes.iter().flat_map(|t| &t.dc))
+            .chain(views.iter().map(|v| &v.state.dc))
+            .filter(|&&dc| dc != DC_DISABLED)
+            .max()
+            .map_or(1, |&dc| (dc as usize + 1).next_power_of_two());
+        let n = views.len();
+        let words = n.div_ceil(64);
         // One bitset word: the transmit clocks are scanned, not filed.
         let tx_words = if words == 1 { 0 } else { tx_buckets * words };
-        let ring_words = tx_words.checked_add(dc_buckets.checked_mul(words)?)?;
-        if ring_words.checked_mul(8)? > RING_BYTES_MAX {
-            return None;
+        let bytes = (dc_buckets.checked_mul(words))
+            .and_then(|w| w.checked_add(tx_words)?.checked_mul(8))
+            .unwrap_or(usize::MAX);
+        if bytes > RING_BYTES_MAX {
+            return Err(CoreRejection::RingsTooLarge { bytes });
         }
-        let mut ev = EventLayout {
+        let mut c = Clocks {
+            proto: views[0].protocol,
             slot: 0,
             busy: 0,
-            tx_at: bcdc.iter().map(|w| (w & 0xFFFF) as u64).collect(),
-            dc_at: bcdc
-                .iter()
-                .map(|w| match w >> 16 {
-                    DC16_DISABLED => NEVER,
-                    dc => dc as u64,
-                })
-                .collect(),
+            tx_at: vec![NEVER; n],
+            dc_at: vec![NEVER; n],
+            held: views.iter().map(|v| (v.state.bc, v.state.dc)).collect(),
+            filed: 0,
             words,
             tx_ring: vec![0; tx_words],
             tx_mask: tx_buckets as u64 - 1,
             dc_ring: vec![0; dc_buckets * words],
             dc_mask: dc_buckets as u64 - 1,
-            next_at: 0,
+            next_at: NEVER,
             next_mask: 0,
-            visit: Vec::with_capacity(if words == 1 { 0 } else { bcdc.len() + 8 }),
+            stale: true,
+            visit: Vec::with_capacity(if words == 1 { 0 } else { n + 8 }),
         };
-        for i in 0..bcdc.len() {
-            if words > 1 {
-                let w = ev.tx_word(ev.tx_at[i], i);
-                ev.tx_ring[w] |= bit(i);
-            }
-            if ev.dc_at[i] != NEVER {
-                let w = ev.dc_word(ev.dc_at[i], i);
-                ev.dc_ring[w] |= bit(i);
-            }
+        for i in 0..n {
+            c.unpark(i);
         }
-        if words == 1 {
-            ev.refresh_next();
+        Ok(c)
+    }
+
+    /// Whether station `i` is parked: in neither ring, its counters held.
+    #[inline]
+    fn parked(&self, i: StationId) -> bool {
+        self.tx_at[i] == NEVER
+    }
+
+    /// Station `i`'s BC.
+    #[inline]
+    fn bc(&self, i: StationId) -> u32 {
+        if self.parked(i) {
+            self.held[i].0
+        } else {
+            (self.tx_at[i] - self.slot) as u32
         }
-        Some(ev)
+    }
+
+    /// Station `i`'s DC, [`DC_DISABLED`] when disabled.
+    #[inline]
+    fn dc(&self, i: StationId) -> u32 {
+        match self.dc_at[i] {
+            _ if self.parked(i) => self.held[i].1,
+            NEVER => DC_DISABLED,
+            at => (at - self.busy) as u32,
+        }
+    }
+
+    /// Take filed station `i` out of both rings, holding its counters.
+    fn park(&mut self, i: StationId) {
+        self.held[i] = (self.bc(i), self.dc(i));
+        if self.words > 1 {
+            let w = self.tx_word(self.tx_at[i], i);
+            self.tx_ring[w] &= !bit(i);
+        }
+        let w = self.dc_word(self.dc_at[i], i);
+        self.dc_ring[w] &= !bit(i);
+        self.tx_at[i] = NEVER;
+        self.dc_at[i] = NEVER;
+        self.filed -= 1;
+        self.stale = true;
+    }
+
+    /// File parked station `i`'s held counters against the current
+    /// clocks.
+    fn unpark(&mut self, i: StationId) {
+        let (bc, dc) = self.held[i];
+        self.tx_at[i] = self.slot + bc as u64;
+        if self.words > 1 {
+            let w = self.tx_word(self.tx_at[i], i);
+            self.tx_ring[w] |= bit(i);
+        }
+        if dc != DC_DISABLED {
+            self.dc_at[i] = self.busy + dc as u64;
+            let w = self.dc_word(self.dc_at[i], i);
+            self.dc_ring[w] |= bit(i);
+        }
+        self.filed += 1;
+        self.stale = true;
+    }
+
+    /// Refresh a stale one-word cache. Every read of it comes through
+    /// here first.
+    #[inline]
+    fn settle(&mut self) {
+        if self.stale {
+            if self.words == 1 {
+                self.refresh_next();
+            }
+            self.stale = false;
+        }
     }
 
     /// Recompute `next_at` and `next_mask` of a one-word population in
-    /// one branch-free pass over `tx_at`. Only `new` and `busy_slot`
-    /// change `tx_at`, and both end here; idle slots and jumps move
-    /// `slot` alone, which the cache reads relative to.
+    /// one branch-free pass over `tx_at`. A parked station's [`NEVER`]
+    /// joins the set only when every station is parked, and `slot` never
+    /// reaches it.
     #[inline]
     fn refresh_next(&mut self) {
         let (mut at, mut mask) = (u64::MAX, 0u64);
@@ -308,11 +379,13 @@ impl EventLayout {
         }
         self.next_at = at;
         self.next_mask = mask;
+        self.stale = false;
     }
 
     /// The one-word transmit set: the stations whose BC is 0 this slot.
     #[inline]
     fn due(&self) -> u64 {
+        debug_assert!(!self.stale, "the one-word cache is read settled");
         if self.next_at == self.slot {
             self.next_mask
         } else {
@@ -332,11 +405,6 @@ impl EventLayout {
         (b & self.dc_mask) as usize * self.words + i / 64
     }
 
-    #[inline]
-    fn bc(&self, i: StationId) -> u32 {
-        (self.tx_at[i] - self.slot) as u32
-    }
-
     /// Append the stations of the current transmit bucket (BC = 0), in
     /// ascending order.
     #[inline]
@@ -351,20 +419,12 @@ impl EventLayout {
         }
     }
 
-    /// The contention cache after a slot: `zero` (empty on entry) gets
-    /// the transmitters of the new slot, and only when there are none
-    /// does `min_bc` get the minimum BC.
-    #[inline]
-    fn fold(&self, zero: &mut Vec<StationId>, min_bc: &mut u32) {
-        self.transmitters(zero);
-        if zero.is_empty() {
-            *min_bc = self.min_bc();
-        }
-    }
-
-    /// Minimum BC when no station transmits this slot (all BC > 0).
+    /// Minimum BC when no station transmits this slot (all BC > 0), or
+    /// `u32::MAX` when every station is parked.
     fn min_bc(&self) -> u32 {
-        let d = if self.words == 1 {
+        let d = if self.filed == 0 {
+            None
+        } else if self.words == 1 {
             Some(self.next_at - self.slot)
         } else {
             (1..=self.tx_mask).find(|&d| {
@@ -377,12 +437,64 @@ impl EventLayout {
         d.map_or(u32::MAX, |d| d as u32)
     }
 
-    /// One busy slot: visit `tx_ring[slot] | dc_ring[busy]` in ascending
-    /// station order, take each visited station out of both rings and
-    /// redraw it as 1901 does (see [`redraw_1901`]), filing the fresh
-    /// clocks ahead of the advanced `slot`/`busy`. `tx` must be the
-    /// transmit bucket in ascending order (the contender set), `actions`
-    /// parallel to it.
+    /// One busy slot: apply each transmitter's action (`tx` ascending,
+    /// `actions` parallel to it), then visit `tx_ring[slot] |
+    /// dc_ring[busy]` in ascending station order, redrawing each visited
+    /// station from `table` and filing its fresh clocks. 1901 then
+    /// advances both clocks; DCF advances neither, so its deferring
+    /// stations hold their BC.
+    fn busy_slot<'t>(
+        &mut self,
+        tx: &[StationId],
+        actions: &[SweepAction],
+        table: impl Fn(StationId) -> &'t ClassTable,
+        bpc: &mut [u32],
+        stage: &mut [u8],
+        rng: &mut SmallRng,
+    ) {
+        debug_assert_eq!(tx.len(), actions.len());
+        self.settle();
+        match self.proto {
+            Protocol::Ieee1901 => {
+                // Only a station's own redraw reads its BPC, so a
+                // restarting transmitter's stage-0 re-entry can be
+                // applied up front.
+                for (&i, &action) in tx.iter().zip(actions) {
+                    if action == SweepAction::Restart {
+                        bpc[i] = 0;
+                    }
+                }
+                let (slot, busy) = (self.slot + 1, self.busy + 1);
+                self.visit(tx, bpc, stage, rng, |i, bpc, stage, r| {
+                    redraw_1901(table(i), bpc, stage, r, slot, busy)
+                });
+                self.slot = slot;
+                self.busy = busy;
+            }
+            Protocol::Dcf80211 => {
+                for (&i, &action) in tx.iter().zip(actions) {
+                    (bpc[i], stage[i]) = match action {
+                        SweepAction::Restart => (0, 0),
+                        SweepAction::Advance => (
+                            bpc[i].saturating_add(1),
+                            (stage[i] as u32 + 1).min(table(i).last) as u8,
+                        ),
+                    };
+                }
+                // No station files a DC, so only the transmitters are
+                // visited, each redrawn against the unmoved `slot`.
+                let slot = self.slot;
+                self.visit(tx, bpc, stage, rng, |i, _, stage, r| {
+                    let bc = draw_below(r.next_u64(), table(i).cw[*stage as usize]);
+                    (slot + bc as u64, NEVER)
+                });
+            }
+        }
+    }
+
+    /// The pass of [`busy_slot`](Self::busy_slot): visit the slot's
+    /// stations in ascending order, take each out of both rings, and file
+    /// the `(tx_at, dc_at)` that `redraw` returns.
     ///
     /// Which bucket a visited station came from decides nothing: both of
     /// its old clocks are unfiled without a branch. The bucket a clock
@@ -393,40 +505,30 @@ impl EventLayout {
     /// transmit word from the cached due set and, once every redraw has
     /// landed, refreshes that cache in one pass over `tx_at`: the next
     /// slot, idle run and jump read it without a scan.
-    fn busy_slot(
+    #[inline(always)]
+    fn visit(
         &mut self,
         tx: &[StationId],
-        actions: &[SweepAction],
-        t: &ClassTable,
         bpc: &mut [u32],
         stage: &mut [u8],
         rng: &mut SmallRng,
+        redraw: impl FnMut(StationId, &mut u32, &mut u8, &mut SmallRng) -> (u64, u64),
     ) {
-        debug_assert_eq!(tx.len(), actions.len());
-        // Only a station's own redraw reads its BPC, so a restarting
-        // transmitter's stage-0 re-entry can be applied up front.
-        for (&i, &action) in tx.iter().zip(actions) {
-            if action == SweepAction::Restart {
-                bpc[i] = 0;
-            }
-        }
         if self.words == 1 {
-            self.busy_slot_word(tx, t, bpc, stage, rng);
+            self.visit_word(tx, bpc, stage, rng, redraw);
         } else {
-            self.busy_slot_words(tx, t, bpc, stage, rng);
+            self.visit_words(tx, bpc, stage, rng, redraw);
         }
-        self.slot += 1;
-        self.busy += 1;
     }
 
-    /// [`busy_slot`](Self::busy_slot) of a one-word population.
-    fn busy_slot_word(
+    /// [`visit`](Self::visit) of a one-word population.
+    fn visit_word(
         &mut self,
         tx: &[StationId],
-        t: &ClassTable,
         bpc: &mut [u32],
         stage: &mut [u8],
         rng: &mut SmallRng,
+        mut redraw: impl FnMut(StationId, &mut u32, &mut u8, &mut SmallRng) -> (u64, u64),
     ) {
         debug_assert!(
             {
@@ -436,7 +538,6 @@ impl EventLayout {
             },
             "transmitters must be the stations with BC = 0"
         );
-        let (slot, busy) = (self.slot + 1, self.busy + 1);
         // A redraw filed a full lap ahead lands in the deferral bucket
         // again, after this take, so it is not visited twice.
         let dc_base = (self.busy & self.dc_mask) as usize;
@@ -445,7 +546,7 @@ impl EventLayout {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             self.dc_ring[(self.dc_at[i] & self.dc_mask) as usize] &= !bit(i);
-            let (tx_at, dc_at) = redraw_1901(t, &mut bpc[i], &mut stage[i], rng, slot, busy);
+            let (tx_at, dc_at) = redraw(i, &mut bpc[i], &mut stage[i], rng);
             self.tx_at[i] = tx_at;
             self.dc_at[i] = dc_at;
             if dc_at != NEVER {
@@ -455,14 +556,14 @@ impl EventLayout {
         self.refresh_next();
     }
 
-    /// [`busy_slot`](Self::busy_slot) of a multi-word population.
-    fn busy_slot_words(
+    /// [`visit`](Self::visit) of a multi-word population.
+    fn visit_words(
         &mut self,
         tx: &[StationId],
-        t: &ClassTable,
         bpc: &mut [u32],
         stage: &mut [u8],
         rng: &mut SmallRng,
+        mut redraw: impl FnMut(StationId, &mut u32, &mut u8, &mut SmallRng) -> (u64, u64),
     ) {
         let words = self.words;
         let (tx_mask, dc_mask) = (self.tx_mask, self.dc_mask);
@@ -487,7 +588,6 @@ impl EventLayout {
                 | std::mem::take(&mut self.dc_ring[dc_base + w]);
             push_bits(&mut self.visit, w * 64, bits);
         }
-        let (slot, busy) = (self.slot + 1, self.busy + 1);
         // One length for every per-station slice, so each visit carries
         // one bounds check; the RNG state lives in a local for the pass.
         let n = self.tx_at.len();
@@ -499,7 +599,7 @@ impl EventLayout {
         for &i in &self.visit {
             tx_ring[ring_word(tx_at[i], tx_mask, i)] &= !bit(i);
             dc_ring[ring_word(dc_at[i], dc_mask, i)] &= !bit(i);
-            let (t_at, d_at) = redraw_1901(t, &mut bpc[i], &mut stage[i], &mut r, slot, busy);
+            let (t_at, d_at) = redraw(i, &mut bpc[i], &mut stage[i], &mut r);
             tx_at[i] = t_at;
             dc_at[i] = d_at;
             tx_ring[ring_word(t_at, tx_mask, i)] |= bit(i);
@@ -527,8 +627,8 @@ fn redraw_1901(
     let s = (*bpc).min(t.last) as usize;
     *stage = s as u8;
     *bpc = bpc.saturating_add(1);
-    let dc_at = match t.dc16[s] {
-        DC16_DISABLED => NEVER,
+    let dc_at = match t.dc[s] {
+        DC_DISABLED => NEVER,
         dc => busy + dc as u64,
     };
     (slot + draw_below(rng.next_u64(), t.cw[s]) as u64, dc_at)
@@ -565,91 +665,31 @@ fn push_bits(out: &mut Vec<StationId>, base: usize, mut bits: u64) {
 
 /// The struct-of-arrays contention state. See the [module docs](self).
 pub(crate) struct ContentionCore {
-    n: usize,
-    /// Packed per-station `BC | DC << 16` words: the BC/DC store of the
-    /// packed layout, empty under the event layout. `u16` BC is exact:
-    /// `CsmaConfig` caps CW at 2¹⁶, so every draw from `0..cw` fits
-    /// (checked again in [`from_views`]).
-    bcdc: Vec<u32>,
-    /// The BC/DC store of the event-indexed layout, when the population
-    /// qualifies (all backlogged, one IEEE 1901 class, rings within
-    /// [`RING_BYTES_MAX`]). `None` selects the packed layout.
-    events: Option<EventLayout>,
+    /// The BC/DC store.
+    clocks: Clocks,
     /// 1901: raw BPC (one past the stage in effect). DCF: retry count.
-    /// Only touched on redraws — deliberately outside the packed word.
+    /// Only touched on redraws.
     bpc: Vec<u32>,
     /// Stage in effect, cached at redraw time.
     stage: Vec<u8>,
-    /// `PROTO_1901` or `PROTO_DCF` — selects the busy-slot semantics.
-    proto: Vec<u8>,
     /// Index into `classes`.
     class: Vec<u16>,
-    /// Whether the station is backlogged (has a fresh frame queued or
-    /// errored PBs awaiting retransmission). The engine keeps these in
-    /// step with the stations' queues, so the sweeps never touch
-    /// `StationCtx`.
-    active: Vec<bool>,
     classes: Vec<ClassTable>,
-    /// Queued redraws of the current packed sweep: `(station, cw)` in
-    /// ascending station order — the draw order.
-    pending: Vec<(u32, u32)>,
-    /// Per-sweep batch of raw RNG words, one per queued redraw.
-    draws: Vec<u64>,
-    /// Redrawn stations whose fresh BC landed on 0, ascending (scratch
-    /// for the fused cache fold; see [`merge_zero`]).
-    redraw_zero: Vec<StationId>,
-    /// Merge scratch for [`merge_zero`].
-    merge_buf: Vec<StationId>,
 }
 
-/// Merge the ascending `extra` set into the ascending `zero` set,
-/// preserving order. The two sets are disjoint (a station folds from
-/// exactly one pass), so strict `<` suffices.
-fn merge_zero(zero: &mut Vec<StationId>, extra: &[StationId], buf: &mut Vec<StationId>) {
-    if extra.is_empty() {
-        return;
-    }
-    buf.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < zero.len() && j < extra.len() {
-        if zero[i] < extra[j] {
-            buf.push(zero[i]);
-            i += 1;
-        } else {
-            buf.push(extra[j]);
-            j += 1;
-        }
-    }
-    buf.extend_from_slice(&zero[i..]);
-    buf.extend_from_slice(&extra[j..]);
-    std::mem::swap(zero, buf);
-}
-
-/// Map a view's DC value into the packed 16-bit domain, or `None` when
-/// it doesn't fit (the core then stays unused).
-#[inline]
-fn dc16_of(dc: u32) -> Option<u32> {
-    if dc == DC_DISABLED {
-        Some(DC16_DISABLED)
-    } else if dc < DC16_DISABLED {
-        Some(dc)
-    } else {
-        None
-    }
-}
-/// Why a station population cannot be hosted in the packed
-/// struct-of-arrays core. The engine then falls back to the per-object
-/// path — results are identical, only the busy-slot sweep is slower —
-/// and surfaces the reason through
+/// Why a station population cannot be hosted in the struct-of-arrays
+/// core. The engine then falls back to the per-object path — results are
+/// identical, only the busy slot is slower — and surfaces the reason
+/// through
 /// [`SlottedEngine::soa_rejection`](crate::engine::SlottedEngine::soa_rejection)
 /// plus the `engine.soa_fallbacks` observability counter, instead of
 /// silently degrading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CoreRejection {
-    /// No stations (nothing to pack).
+    /// No stations (nothing to host).
     Empty,
-    /// More stations than the packed index domain.
+    /// More stations than the core's index domain.
     TooManyStations(usize),
     /// A stage table is empty or longer than the `u8` stage array allows.
     StageTableSize {
@@ -658,28 +698,12 @@ pub enum CoreRejection {
         /// Its stage-table length.
         stages: usize,
     },
-    /// A contention window of 0 or above 2¹⁶ cannot be packed into the
-    /// 16-bit BC field (a draw from `0..cw` must fit).
+    /// An empty contention window: a draw from `0..cw` needs `cw ≥ 1`.
     WindowUnrepresentable {
         /// Offending station.
         station: usize,
-        /// The unrepresentable window.
+        /// The empty window (0).
         cw: u32,
-    },
-    /// A deferral counter ≥ 0xFFFF that is not [`DC_DISABLED`] collides
-    /// with the packed disabled-DC sentinel.
-    DeferralUnrepresentable {
-        /// Offending station.
-        station: usize,
-        /// The unrepresentable deferral counter.
-        dc: u32,
-    },
-    /// A live backoff counter above the 16-bit packed domain.
-    CounterOutOfRange {
-        /// Offending station.
-        station: usize,
-        /// The unrepresentable backoff counter.
-        bc: u32,
     },
     /// A station's current stage indexes past its stage table.
     StageOutOfRange {
@@ -688,16 +712,27 @@ pub enum CoreRejection {
         /// The out-of-range stage.
         stage: u32,
     },
-    /// More distinct (protocol, table) classes than the `u16` class ids.
+    /// More distinct stage tables than the `u16` class ids.
     TooManyClasses(usize),
+    /// The population mixes IEEE 1901 and 802.11 DCF stations, whose BC
+    /// clocks run on different slots.
+    MixedProtocols {
+        /// The first station whose protocol differs from station 0's.
+        station: usize,
+    },
+    /// The event rings would take more than the core's cap (32 MiB).
+    RingsTooLarge {
+        /// Bytes both rings would take.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for CoreRejection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoreRejection::Empty => write!(f, "no stations to pack"),
+            CoreRejection::Empty => write!(f, "no stations to host"),
             CoreRejection::TooManyStations(n) => {
-                write!(f, "{n} stations exceed the packed index domain")
+                write!(f, "{n} stations exceed the core's index domain")
             }
             CoreRejection::StageTableSize { station, stages } => write!(
                 f,
@@ -706,18 +741,7 @@ impl std::fmt::Display for CoreRejection {
             ),
             CoreRejection::WindowUnrepresentable { station, cw } => write!(
                 f,
-                "station {station}: contention window {cw} does not fit the \
-                 packed 16-bit backoff field (need 1..=65536)"
-            ),
-            CoreRejection::DeferralUnrepresentable { station, dc } => write!(
-                f,
-                "station {station}: deferral counter {dc} collides with the \
-                 packed disabled-DC sentinel 0xFFFF (need < 65535 or DC_DISABLED)"
-            ),
-            CoreRejection::CounterOutOfRange { station, bc } => write!(
-                f,
-                "station {station}: backoff counter {bc} exceeds the packed \
-                 16-bit domain"
+                "station {station}: contention window {cw} is empty (need at least 1)"
             ),
             CoreRejection::StageOutOfRange { station, stage } => write!(
                 f,
@@ -726,6 +750,16 @@ impl std::fmt::Display for CoreRejection {
             CoreRejection::TooManyClasses(n) => {
                 write!(f, "{n} distinct parameter classes exceed the u16 class ids")
             }
+            CoreRejection::MixedProtocols { station } => write!(
+                f,
+                "station {station} runs a different protocol than station 0: IEEE 1901 \
+                 and 802.11 DCF count backoff on different slots"
+            ),
+            CoreRejection::RingsTooLarge { bytes } => write!(
+                f,
+                "the event rings would take {bytes} bytes, above the \
+                 {RING_BYTES_MAX}-byte cap"
+            ),
         }
     }
 }
@@ -741,346 +775,165 @@ impl CoreRejection {
 }
 
 impl ContentionCore {
-    /// Build a core from per-station views, or `None` when the views
-    /// cannot be represented exactly (oversized CW/DC/stage tables), in
-    /// which case the engine stays on the per-object path. See
-    /// [`try_from_views`](Self::try_from_views) for the reason.
-    pub(crate) fn from_views(views: &[SoaView], all_active: bool) -> Option<Self> {
-        Self::try_from_views(views, all_active).ok()
-    }
-
-    /// [`from_views`](Self::from_views) surfacing *why* the views cannot
-    /// be packed, so the engine can report the fallback instead of
-    /// silently taking the per-object path. An all-backlogged (`all_active`)
-    /// single-class IEEE 1901 population gets the event-indexed layout
-    /// unless its rings would exceed [`RING_BYTES_MAX`]; that fallback is
-    /// not a rejection — the packed layout hosts it with identical
-    /// results, and the module docs say what it costs.
-    pub(crate) fn try_from_views(
-        views: &[SoaView],
-        all_active: bool,
-    ) -> std::result::Result<Self, CoreRejection> {
-        let core = Self::try_arrays(views, all_active)?;
-        if all_active && core.classes.len() == 1 && core.classes[0].proto == PROTO_1901 {
-            if let Some(ev) = EventLayout::new(&core.bcdc, &core.classes[0]) {
-                // It redraws as it visits: no packed words, redraw queue
-                // or fold scratch.
-                return Ok(ContentionCore {
-                    events: Some(ev),
-                    bcdc: Vec::new(),
-                    ..core
-                });
-            }
-        }
-        Ok(core.with_packed_scratch())
-    }
-
-    /// The packed layout, whatever the population.
-    #[cfg(test)]
-    fn try_packed(views: &[SoaView], all_active: bool) -> std::result::Result<Self, CoreRejection> {
-        Ok(Self::try_arrays(views, all_active)?.with_packed_scratch())
-    }
-
-    /// The packed sweep's redraw queue and fold scratch, sized for every
-    /// station at once so no sweep ever grows them.
-    fn with_packed_scratch(self) -> Self {
-        let n = self.n;
-        ContentionCore {
-            pending: Vec::with_capacity(n),
-            draws: Vec::with_capacity(n),
-            redraw_zero: Vec::with_capacity(n),
-            merge_buf: Vec::with_capacity(n),
-            ..self
-        }
-    }
-
-    /// The per-station arrays and class tables, checked against the
-    /// packed domain, with BC and DC in `bcdc`.
-    fn try_arrays(views: &[SoaView], all_active: bool) -> std::result::Result<Self, CoreRejection> {
+    /// Build a core from per-station views, every station filed, or the
+    /// reason it cannot host them (the engine then stays on the
+    /// per-object path and counts the fallback).
+    pub(crate) fn try_from_views(views: &[SoaView]) -> Result<Self, CoreRejection> {
         let n = views.len();
-        if n == 0 {
+        let Some(first) = views.first() else {
             return Err(CoreRejection::Empty);
-        }
+        };
         if n > u32::MAX as usize {
             return Err(CoreRejection::TooManyStations(n));
         }
-        let mut classes: Vec<(Protocol, &SoaView, ClassTable)> = Vec::new();
-        let mut core = ContentionCore {
-            n,
-            bcdc: Vec::with_capacity(n),
-            events: None,
-            bpc: Vec::with_capacity(n),
-            stage: Vec::with_capacity(n),
-            proto: Vec::with_capacity(n),
-            class: Vec::with_capacity(n),
-            active: vec![all_active; n],
-            classes: Vec::new(),
-            pending: Vec::new(),
-            draws: Vec::new(),
-            redraw_zero: Vec::new(),
-            merge_buf: Vec::new(),
-        };
+        let mut tables: Vec<&SoaView> = Vec::new();
+        let mut class = Vec::with_capacity(n);
         for (station, v) in views.iter().enumerate() {
+            if v.protocol != first.protocol {
+                return Err(CoreRejection::MixedProtocols { station });
+            }
             if v.stages.is_empty() || v.stages.len() > 256 {
                 return Err(CoreRejection::StageTableSize {
                     station,
                     stages: v.stages.len(),
                 });
             }
-            if let Some(s) = v.stages.iter().find(|s| s.cw == 0 || s.cw > 1 << 16) {
-                return Err(CoreRejection::WindowUnrepresentable { station, cw: s.cw });
+            if v.stages.iter().any(|s| s.cw == 0) {
+                return Err(CoreRejection::WindowUnrepresentable { station, cw: 0 });
             }
-            if let Some(s) = v.stages.iter().find(|s| dc16_of(s.dc).is_none()) {
-                return Err(CoreRejection::DeferralUnrepresentable { station, dc: s.dc });
-            }
-            let st = v.state;
-            if st.bc > u16::MAX as u32 {
-                return Err(CoreRejection::CounterOutOfRange { station, bc: st.bc });
-            }
-            if st.stage as usize >= v.stages.len() {
+            if v.state.stage as usize >= v.stages.len() {
                 return Err(CoreRejection::StageOutOfRange {
                     station,
-                    stage: st.stage,
+                    stage: v.state.stage,
                 });
             }
-            let dc16 = dc16_of(st.dc)
-                .ok_or(CoreRejection::DeferralUnrepresentable { station, dc: st.dc })?;
-            let class = match classes
-                .iter()
-                .position(|(p, cv, _)| *p == v.protocol && cv.stages == v.stages)
-            {
+            let c = match tables.iter().position(|t| t.stages == v.stages) {
                 Some(c) => c,
+                None if tables.len() > u16::MAX as usize => {
+                    return Err(CoreRejection::TooManyClasses(tables.len()));
+                }
                 None => {
-                    if classes.len() > u16::MAX as usize {
-                        return Err(CoreRejection::TooManyClasses(classes.len()));
-                    }
-                    classes.push((
-                        v.protocol,
-                        v,
-                        ClassTable {
-                            proto: match v.protocol {
-                                Protocol::Ieee1901 => PROTO_1901,
-                                Protocol::Dcf80211 => PROTO_DCF,
-                            },
-                            cw: v.stages.iter().map(|s| s.cw).collect(),
-                            dc16: v
-                                .stages
-                                .iter()
-                                .map(|s| dc16_of(s.dc).expect("checked above"))
-                                .collect(),
-                            last: (v.stages.len() - 1) as u32,
-                        },
-                    ));
-                    classes.len() - 1
+                    tables.push(v);
+                    tables.len() - 1
                 }
             };
-            core.bcdc.push(pack(st.bc, dc16));
-            core.bpc.push(st.bpc);
-            core.stage.push(st.stage as u8);
-            core.proto.push(classes[class].2.proto);
-            core.class.push(class as u16);
+            class.push(c as u16);
         }
-        core.classes = classes.into_iter().map(|(_, _, t)| t).collect();
-        Ok(core)
+        let classes: Vec<ClassTable> = (tables.iter())
+            .map(|v| ClassTable {
+                cw: v.stages.iter().map(|s| s.cw).collect(),
+                dc: v.stages.iter().map(|s| s.dc).collect(),
+                last: (v.stages.len() - 1) as u32,
+            })
+            .collect();
+        Ok(ContentionCore {
+            clocks: Clocks::new(views, &classes)?,
+            bpc: views.iter().map(|v| v.state.bpc).collect(),
+            stage: views.iter().map(|v| v.state.stage as u8).collect(),
+            class,
+            classes,
+        })
     }
 
-    /// Current backoff counter of station `i`.
-    #[inline]
-    pub(crate) fn bc_of(&self, i: StationId) -> u32 {
-        match &self.events {
-            Some(ev) => ev.bc(i),
-            None => self.bcdc[i] & 0xFFFF,
-        }
-    }
-
-    /// Mark station `i` backlogged or drained. Only for cores built
-    /// without `all_active` — the engine calls this for non-saturated
-    /// populations alone — so never for the event layout, which holds
-    /// all-backlogged populations only.
+    /// Mark station `i` backlogged or drained: park or unpark it at once,
+    /// drawing nothing (see the module docs). The engine calls this for
+    /// non-saturated populations alone, after a busy slot's pass for its
+    /// transmitters.
     #[inline]
     pub(crate) fn set_active(&mut self, i: StationId, active: bool) {
-        debug_assert!(
-            self.events.is_none(),
-            "backlog is fixed in the event layout"
-        );
-        self.active[i] = active;
+        if self.clocks.parked(i) == active {
+            if active {
+                self.clocks.unpark(i);
+            } else {
+                self.clocks.park(i);
+            }
+        }
+    }
+
+    /// Immediate stage-0 reset for one station (traffic arrival): draws
+    /// right away, preserving the arrival loop's per-station draw order,
+    /// and files the station. A drained station arrives here parked, one
+    /// still resending errored blocks filed; the engine parks it again if
+    /// priority resolution froze it.
+    #[inline]
+    pub(crate) fn reset_now(&mut self, i: StationId, rng: &mut SmallRng) {
+        self.set_active(i, false);
+        let t = &self.classes[self.class[i] as usize];
+        // Stage 0 in both protocols; 1901's BPC runs one past the stage
+        // in effect, DCF's retry count restarts at 0.
+        self.stage[i] = 0;
+        self.bpc[i] = (self.clocks.proto == Protocol::Ieee1901) as u32;
+        self.clocks.held[i] = (draw_below(rng.next_u64(), t.cw[0]), t.dc[0]);
+        self.clocks.unpark(i);
     }
 
     /// Absorb `k` guaranteed-idle slots (fast-forward: every backlogged
-    /// station has `BC ≥ k`) and rebuild the contention cache, as
-    /// [`idle_sweep`](Self::idle_sweep) does for one slot.
+    /// station has `BC ≥ k`).
     #[inline]
-    pub(crate) fn skip_idle(&mut self, k: u32, zero: &mut Vec<StationId>, min_bc: &mut u32) {
-        if let Some(ev) = &mut self.events {
-            debug_assert!(
-                ev.tx_at.iter().all(|&at| at - ev.slot >= k as u64),
-                "cannot skip past BC = 0"
-            );
-            ev.slot += k as u64;
-            ev.fold(zero, min_bc);
-            return;
-        }
-        for i in 0..self.n {
-            if self.active[i] {
-                debug_assert!(k <= self.bcdc[i] & 0xFFFF, "cannot skip past BC = 0");
-                let bc = (self.bcdc[i] & 0xFFFF) - k;
-                self.bcdc[i] -= k;
-                if bc == 0 {
-                    zero.push(i);
-                } else {
-                    *min_bc = (*min_bc).min(bc);
-                }
-            }
+    pub(crate) fn skip_idle(&mut self, k: u32) {
+        let c = &mut self.clocks;
+        debug_assert!(
+            c.tx_at.iter().all(|&at| at - c.slot >= k as u64),
+            "cannot skip past BC = 0"
+        );
+        c.slot += k as u64;
+    }
+
+    /// One idle slot: every backlogged station's BC decrements.
+    #[inline]
+    pub(crate) fn idle_slot(&mut self) {
+        let c = &mut self.clocks;
+        debug_assert!(
+            c.tx_at.iter().all(|&at| at > c.slot),
+            "station with BC == 0 must transmit, not idle"
+        );
+        c.slot += 1;
+    }
+
+    /// One busy slot: each transmitter applies its [`SweepAction`]
+    /// (parallel to `tx`, which must be the ascending contender set — a
+    /// success is one [`SweepAction::Restart`]), every other backlogged
+    /// station senses the medium busy.
+    #[inline]
+    pub(crate) fn busy_slot(
+        &mut self,
+        tx: &[StationId],
+        actions: &[SweepAction],
+        rng: &mut SmallRng,
+    ) {
+        let (classes, class) = (&self.classes, &self.class);
+        let (clocks, bpc, stage) = (&mut self.clocks, &mut self.bpc, &mut self.stage);
+        match &classes[..] {
+            [t] => clocks.busy_slot(tx, actions, |_| t, bpc, stage, rng),
+            _ => clocks.busy_slot(
+                tx,
+                actions,
+                |i| &classes[class[i] as usize],
+                bpc,
+                stage,
+                rng,
+            ),
         }
     }
 
     /// Collect the transmitter set: backlogged stations with `BC == 0`,
     /// in ascending station order (the engine's scan order).
     #[inline]
-    pub(crate) fn contenders(&self, out: &mut Vec<StationId>) {
-        if let Some(ev) = &self.events {
-            return ev.transmitters(out);
-        }
-        for i in 0..self.n {
-            if self.active[i] && self.bcdc[i] & 0xFFFF == 0 {
-                out.push(i);
-            }
-        }
+    pub(crate) fn contenders(&mut self, out: &mut Vec<StationId>) {
+        self.clocks.settle();
+        self.clocks.transmitters(out);
     }
 
-    /// One idle slot: every backlogged station's BC decrements. With
-    /// `TRACK`, rebuilds the contention cache in the same pass.
+    /// The fast-forward contention cache: `zero` (empty on entry) gets the
+    /// transmitters of the next slot, and only when there are none does
+    /// `min_bc` get the minimum BC (`u32::MAX` when no station is
+    /// backlogged).
     #[inline]
-    pub(crate) fn idle_sweep<const TRACK: bool>(
-        &mut self,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        if let Some(ev) = &mut self.events {
-            debug_assert!(
-                ev.tx_at.iter().all(|&at| at > ev.slot),
-                "station with BC == 0 must transmit, not idle"
-            );
-            ev.slot += 1;
-            if TRACK {
-                ev.fold(zero, min_bc);
-            }
-            return;
+    pub(crate) fn fold(&mut self, zero: &mut Vec<StationId>, min_bc: &mut u32) {
+        self.contenders(zero);
+        if zero.is_empty() {
+            *min_bc = self.clocks.min_bc();
         }
-        for i in 0..self.n {
-            if self.active[i] {
-                debug_assert!(
-                    self.bc_of(i) > 0,
-                    "station with BC == 0 must transmit, not idle"
-                );
-                let word = self.bcdc[i] - 1;
-                self.bcdc[i] = word;
-                if TRACK {
-                    let bc = word & 0xFFFF;
-                    if bc == 0 {
-                        zero.push(i);
-                    } else {
-                        *min_bc = (*min_bc).min(bc);
-                    }
-                }
-            }
-        }
-    }
-
-    /// A successful transmission by `w`: the winner restarts at stage 0,
-    /// every other backlogged station senses the medium busy. With
-    /// `TRACK`, rebuilds the contention cache in the same pass (fused —
-    /// no separate fold sweep; see the module docs).
-    #[inline]
-    pub(crate) fn success_sweep<const TRACK: bool>(
-        &mut self,
-        w: StationId,
-        rng: &mut SmallRng,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        if let Some(ev) = &mut self.events {
-            ev.busy_slot(
-                std::slice::from_ref(&w),
-                &[SweepAction::Restart],
-                &self.classes[0],
-                &mut self.bpc,
-                &mut self.stage,
-                rng,
-            );
-            if TRACK {
-                ev.fold(zero, min_bc);
-            }
-            return;
-        }
-        self.pending.clear();
-        for i in 0..self.n {
-            if i == w {
-                self.queue_restart(i);
-            } else if self.active[i] {
-                self.busy_one::<TRACK>(i, zero, min_bc);
-            }
-        }
-        self.apply_draws::<TRACK>(rng, zero, min_bc);
-    }
-
-    /// A collision: each transmitter applies its [`SweepAction`]
-    /// (parallel to `tx`, which must be ascending), every other
-    /// backlogged station senses the medium busy. `TRACK` fuses the
-    /// cache fold as in [`success_sweep`](Self::success_sweep).
-    #[inline]
-    pub(crate) fn collision_sweep<const TRACK: bool>(
-        &mut self,
-        tx: &[StationId],
-        actions: &[SweepAction],
-        rng: &mut SmallRng,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        debug_assert_eq!(tx.len(), actions.len());
-        if let Some(ev) = &mut self.events {
-            ev.busy_slot(
-                tx,
-                actions,
-                &self.classes[0],
-                &mut self.bpc,
-                &mut self.stage,
-                rng,
-            );
-            if TRACK {
-                ev.fold(zero, min_bc);
-            }
-            return;
-        }
-        self.pending.clear();
-        let mut txi = 0usize;
-        for i in 0..self.n {
-            if txi < tx.len() && tx[txi] == i {
-                match actions[txi] {
-                    SweepAction::Restart => self.queue_restart(i),
-                    SweepAction::Advance => self.queue_advance(i),
-                }
-                txi += 1;
-            } else if self.active[i] {
-                self.busy_one::<TRACK>(i, zero, min_bc);
-            }
-        }
-        self.apply_draws::<TRACK>(rng, zero, min_bc);
-    }
-
-    /// Immediate stage-0 reset for one station (traffic arrival): draws
-    /// right away, preserving the arrival loop's per-station draw order.
-    /// Never folds — the engine rebuilds the cache after arrival resets.
-    #[inline]
-    pub(crate) fn reset_now(&mut self, i: StationId, rng: &mut SmallRng) {
-        debug_assert!(
-            self.events.is_none(),
-            "arrivals never reach the event layout"
-        );
-        self.pending.clear();
-        self.queue_restart(i);
-        let (mut unused_zero, mut unused_min) = (Vec::new(), u32::MAX);
-        self.apply_draws::<false>(rng, &mut unused_zero, &mut unused_min);
     }
 
     /// Synthesize the station's counter snapshot — field-for-field what
@@ -1088,160 +941,22 @@ impl ContentionCore {
     pub(crate) fn snapshot(&self, i: StationId) -> BackoffSnapshot {
         let t = &self.classes[self.class[i] as usize];
         let stage = self.stage[i] as usize;
-        let (bc, dc) = match &self.events {
-            Some(ev) => (
-                ev.bc(i),
-                (ev.dc_at[i] != NEVER).then(|| (ev.dc_at[i] - ev.busy) as u32),
-            ),
-            None => {
-                let dc16 = self.bcdc[i] >> 16;
-                (
-                    self.bcdc[i] & 0xFFFF,
-                    (dc16 != DC16_DISABLED).then_some(dc16),
-                )
-            }
-        };
+        let dc = self.clocks.dc(i);
         BackoffSnapshot {
             stage,
             cw: t.cw[stage],
-            bc,
-            dc,
-            bpc: if self.proto[i] == PROTO_1901 {
-                self.bpc[i].saturating_sub(1)
-            } else {
-                self.bpc[i]
+            bc: self.clocks.bc(i),
+            dc: (dc != DC_DISABLED).then_some(dc),
+            bpc: match self.clocks.proto {
+                Protocol::Ieee1901 => self.bpc[i].saturating_sub(1),
+                Protocol::Dcf80211 => self.bpc[i],
             },
-        }
-    }
-
-    /// Busy-slot semantics for one non-transmitting backlogged station:
-    /// one packed word in, one out (see the module docs). With `TRACK`,
-    /// stations whose BC is final after this slot fold into the cache
-    /// here; queued redraws fold in [`apply_draws`](Self::apply_draws)
-    /// instead.
-    #[inline]
-    fn busy_one<const TRACK: bool>(
-        &mut self,
-        i: usize,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        let word = self.bcdc[i];
-        if self.proto[i] == PROTO_DCF {
-            // DCF freezes the backoff counter while the medium is busy; a
-            // deferring station's BC is positive (else it would have
-            // transmitted), so it folds into the minimum.
-            if TRACK {
-                *min_bc = (*min_bc).min(word & 0xFFFF);
-            }
-        } else if word >= 0x10000 {
-            // 1901 with DC > 0: BC -= 1, DC -= 1 unless disabled.
-            debug_assert!(word & 0xFFFF > 0, "station with BC == 0 must transmit");
-            let word = word - 1 - ((((word >> 16) != DC16_DISABLED) as u32) << 16);
-            self.bcdc[i] = word;
-            if TRACK {
-                let bc = word & 0xFFFF;
-                if bc == 0 {
-                    zero.push(i);
-                } else {
-                    *min_bc = (*min_bc).min(bc);
-                }
-            }
-        } else {
-            // 1901 sensing busy while DC = 0: jump to the next backoff
-            // stage without attempting a transmission.
-            self.queue_redraw_1901(i);
-        }
-    }
-
-    /// Queue a stage-0 re-entry (success / drop / head-of-line reset).
-    #[inline]
-    fn queue_restart(&mut self, i: usize) {
-        self.bpc[i] = 0;
-        if self.proto[i] == PROTO_1901 {
-            self.queue_redraw_1901(i);
-        } else {
-            self.stage[i] = 0;
-            self.pending
-                .push((i as u32, self.classes[self.class[i] as usize].cw[0]));
-        }
-    }
-
-    /// Queue a stage-advancing redraw (collision without a drop).
-    #[inline]
-    fn queue_advance(&mut self, i: usize) {
-        if self.proto[i] == PROTO_1901 {
-            // BPC already points past the stage that failed; the redraw
-            // advances it.
-            self.queue_redraw_1901(i);
-        } else {
-            let t = &self.classes[self.class[i] as usize];
-            let next = (self.stage[i] as u32 + 1).min(t.last);
-            self.bpc[i] = self.bpc[i].saturating_add(1);
-            self.stage[i] = next as u8;
-            self.pending.push((i as u32, t.cw[next as usize]));
-        }
-    }
-
-    /// Queue the 1901 redraw: stage from the current BPC (saturated at
-    /// the last), DC reloaded from the table, BPC saturating-incremented.
-    /// For stage-0 re-entry (success, drop, reset) the caller zeroes BPC
-    /// first.
-    #[inline]
-    fn queue_redraw_1901(&mut self, i: usize) {
-        let t = &self.classes[self.class[i] as usize];
-        let stage = self.bpc[i].min(t.last) as usize;
-        self.stage[i] = stage as u8;
-        // The fresh BC lands in `apply_draws`; only DC is final here.
-        self.bcdc[i] = pack(self.bcdc[i] & 0xFFFF, t.dc16[stage]);
-        self.bpc[i] = self.bpc[i].saturating_add(1);
-        self.pending.push((i as u32, t.cw[stage]));
-    }
-
-    /// Batched RNG: pre-fill the draw buffer — one `next_u64` per queued
-    /// redraw, in queue (= draw) order — then map each word exactly as
-    /// the vendored `gen_range(0..cw)` does. See the module docs for why
-    /// this is bit-identical to per-station `gen_range` calls.
-    ///
-    /// With `TRACK`, redrawn *backlogged* stations fold into the cache
-    /// as their draw lands (a redrawn station may be drained — a winner
-    /// whose queue emptied — and drained stations never fold). The
-    /// pending queue is ascending, so the fresh zeros merge into the
-    /// sweep's zeros with one ordered pass.
-    #[inline]
-    fn apply_draws<const TRACK: bool>(
-        &mut self,
-        rng: &mut SmallRng,
-        zero: &mut Vec<StationId>,
-        min_bc: &mut u32,
-    ) {
-        self.draws.clear();
-        for _ in 0..self.pending.len() {
-            self.draws.push(rng.next_u64());
-        }
-        if TRACK {
-            self.redraw_zero.clear();
-        }
-        for (&(i, cw), &x) in self.pending.iter().zip(&self.draws) {
-            let bc = draw_below(x, cw);
-            let i = i as usize;
-            self.bcdc[i] = pack(bc, self.bcdc[i] >> 16);
-            if TRACK && self.active[i] {
-                if bc == 0 {
-                    self.redraw_zero.push(i);
-                } else {
-                    *min_bc = (*min_bc).min(bc);
-                }
-            }
-        }
-        if TRACK {
-            merge_zero(zero, &self.redraw_zero, &mut self.merge_buf);
         }
     }
 }
 
 /// Benchmark support: drives the contention core alone — no traffic,
-/// metrics, bursting or trace plumbing — so the busy-slot sweep can be
+/// metrics, bursting or trace plumbing — so the busy-slot pass can be
 /// microbenchmarked in isolation (`benches/busy_slot.rs` in
 /// `crates/bench`). Hidden from docs; not a stable API.
 #[doc(hidden)]
@@ -1253,7 +968,7 @@ pub mod bench {
     use rand::SeedableRng;
 
     /// A saturated single-class IEEE 1901 population stepped through
-    /// idle/success/collision sweeps only.
+    /// idle and busy slots only.
     pub struct BusySweepBench {
         core: ContentionCore,
         rng: SmallRng,
@@ -1271,7 +986,7 @@ pub mod bench {
                 .collect();
             let views: Vec<_> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
             BusySweepBench {
-                core: ContentionCore::from_views(&views, true).expect("representable"),
+                core: ContentionCore::try_from_views(&views).expect("representable"),
                 rng: SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
                 tx: Vec::with_capacity(n),
                 zero: Vec::with_capacity(n),
@@ -1279,37 +994,31 @@ pub mod bench {
             }
         }
 
-        /// Advance `slots` contention slots (idle, success or collision
-        /// sweep each, with the fused cache fold), returning a checksum
-        /// so the optimizer cannot elide the work. State carries across
-        /// calls — repeated invocations measure the steady state.
+        /// Advance `slots` contention slots (idle or busy slot each, then
+        /// the fast-forward cache fold), returning a checksum so the
+        /// optimizer cannot elide the work. State carries across calls —
+        /// repeated invocations measure the steady state.
         pub fn run(&mut self, slots: usize) -> u64 {
             let mut acc = 0u64;
             for _ in 0..slots {
                 self.tx.clear();
                 self.core.contenders(&mut self.tx);
-                self.zero.clear();
-                let mut min = u32::MAX;
                 match self.tx.len() {
-                    0 => self.core.idle_sweep::<true>(&mut self.zero, &mut min),
-                    1 => self.core.success_sweep::<true>(
-                        self.tx[0],
-                        &mut self.rng,
-                        &mut self.zero,
-                        &mut min,
-                    ),
-                    _ => {
+                    0 => self.core.idle_slot(),
+                    n => {
+                        // A success restarts its winner; colliders advance.
+                        let action = match n {
+                            1 => SweepAction::Restart,
+                            _ => SweepAction::Advance,
+                        };
                         self.actions.clear();
-                        self.actions.resize(self.tx.len(), SweepAction::Advance);
-                        self.core.collision_sweep::<true>(
-                            &self.tx,
-                            &self.actions,
-                            &mut self.rng,
-                            &mut self.zero,
-                            &mut min,
-                        );
+                        self.actions.resize(n, action);
+                        self.core.busy_slot(&self.tx, &self.actions, &mut self.rng);
                     }
                 }
+                self.zero.clear();
+                let mut min = u32::MAX;
+                self.core.fold(&mut self.zero, &mut min);
                 acc = acc
                     .wrapping_add(min as u64)
                     .wrapping_add(self.zero.len() as u64);
@@ -1323,7 +1032,7 @@ pub mod bench {
 mod tests {
     use super::*;
     use plc_core::config::CsmaConfig;
-    use plc_mac::process::BackoffProcess;
+    use plc_mac::process::{BackoffProcess, SoaStage, SoaState};
     use plc_mac::{Backoff1901, BackoffDcf};
     use rand::SeedableRng;
 
@@ -1331,12 +1040,12 @@ mod tests {
         ps.iter().map(|p| p.soa_view().unwrap()).collect()
     }
 
-    /// The core the engine would build for a saturated population.
+    /// The core the engine would build for `ps`.
     fn core_of<P: BackoffProcess>(ps: &[P]) -> ContentionCore {
-        ContentionCore::from_views(&views_of(ps), true).unwrap()
+        ContentionCore::try_from_views(&views_of(ps)).unwrap()
     }
 
-    /// `n` saturated 1901 stations on the (CW, DC) table.
+    /// `n` 1901 stations on the (CW, DC) table.
     fn stations_1901(n: usize, cw: &[u32], dc: &[u32], seed: u64) -> Vec<Backoff1901> {
         let cfg = CsmaConfig::from_vectors(cw, dc).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -1345,98 +1054,179 @@ mod tests {
             .collect()
     }
 
-    /// The fused fold must equal a from-scratch scan of the core. The
-    /// minimum BC is read only when no station transmits next, and only
-    /// then does the event layout compute it.
-    fn assert_cache(core: &ContentionCore, zero: &[usize], min: u32, slot: usize) {
-        let want_zero: Vec<usize> = (0..core.n)
-            .filter(|&i| core.active[i] && core.bc_of(i) == 0)
-            .collect();
-        assert_eq!(zero, want_zero, "slot {slot} fused zero set");
-        if zero.is_empty() || core.events.is_none() {
-            let want_min = (0..core.n)
-                .filter(|&i| core.active[i] && core.bc_of(i) > 0)
-                .map(|i| core.bc_of(i))
-                .min()
-                .unwrap_or(u32::MAX);
-            assert_eq!(min, want_min, "slot {slot} fused min BC");
+    /// The per-object contender set: contending stations with BC = 0.
+    fn object_tx<P: BackoffProcess>(ps: &[P], on: &[bool]) -> Vec<usize> {
+        (0..ps.len())
+            .filter(|&i| on[i] && ps[i].wants_tx())
+            .collect()
+    }
+
+    /// The transmitters' actions of a busy slot: a success restarts its
+    /// winner; colliders restart (a drop) or advance, mixed by `call`.
+    fn actions_for(tx: &[usize], call: usize) -> Vec<SweepAction> {
+        tx.iter()
+            .map(|&i| match (i + call) % 3 {
+                _ if tx.len() == 1 => SweepAction::Restart,
+                0 => SweepAction::Restart,
+                _ => SweepAction::Advance,
+            })
+            .collect()
+    }
+
+    /// One slot through the objects as the engine's per-object loops run
+    /// it: `tx` (ascending) apply their `actions`, every other contending
+    /// station idles (no transmitter) or senses the medium busy.
+    fn object_slot<P: BackoffProcess>(
+        ps: &mut [P],
+        on: &[bool],
+        tx: &[usize],
+        actions: &[SweepAction],
+        rng: &mut SmallRng,
+    ) {
+        let mut txi = 0usize;
+        for (i, p) in ps.iter_mut().enumerate() {
+            if txi < tx.len() && tx[txi] == i {
+                match actions[txi] {
+                    SweepAction::Restart => p.reset(rng),
+                    SweepAction::Advance => p.on_tx_failure(rng),
+                }
+                txi += 1;
+            } else if on[i] && tx.is_empty() {
+                p.on_idle_slot(rng);
+            } else if on[i] {
+                p.on_busy(rng);
+            }
         }
     }
 
+    /// The same slot through the core.
+    fn core_slot(
+        core: &mut ContentionCore,
+        tx: &[usize],
+        actions: &[SweepAction],
+        rng: &mut SmallRng,
+    ) {
+        if tx.is_empty() {
+            core.idle_slot();
+        } else {
+            core.busy_slot(tx, actions, rng);
+        }
+    }
+
+    /// The fold must equal a from-scratch scan of the core: the filed
+    /// stations with BC = 0, and, only when there are none (the one case
+    /// the engine reads it), their minimum BC.
+    fn assert_cache(core: &ContentionCore, zero: &[usize], min: u32, at: &str) {
+        let filed: Vec<usize> = (0..core.bpc.len())
+            .filter(|&i| !core.clocks.parked(i))
+            .collect();
+        let want_zero: Vec<usize> = (filed.iter().copied())
+            .filter(|&i| core.clocks.bc(i) == 0)
+            .collect();
+        assert_eq!(zero, want_zero, "{at}: folded zero set");
+        if zero.is_empty() {
+            let want_min = filed.iter().map(|&i| core.clocks.bc(i)).min();
+            assert_eq!(min, want_min.unwrap_or(u32::MAX), "{at}: folded min BC");
+        }
+    }
+
+    /// Every filed station's clocks must be filed exactly where they
+    /// point: its bit set in transmit bucket `tx_at mod R_tx` (multi-word
+    /// populations; one word files no transmit clocks) and in deferral
+    /// bucket `dc_at mod R_dc` unless its DC is disabled, and in no other
+    /// bucket of either ring; a parked station in neither ring. A settled
+    /// one-word cache must equal a fresh scan of `tx_at`. `want` is
+    /// scratch, rebuilt on every call.
+    fn assert_clocks(c: &Clocks, want: &mut Vec<u64>, at: &str) {
+        want.clear();
+        want.resize(c.tx_ring.len(), 0);
+        if !want.is_empty() {
+            for (i, &t) in c.tx_at.iter().enumerate() {
+                if t != NEVER {
+                    want[c.tx_word(t, i)] |= bit(i);
+                }
+            }
+        }
+        assert!(c.tx_ring == *want, "{at}: transmit ring");
+        want.clear();
+        want.resize(c.dc_ring.len(), 0);
+        for (i, &d) in c.dc_at.iter().enumerate() {
+            if d != NEVER {
+                want[c.dc_word(d, i)] |= bit(i);
+            }
+        }
+        assert!(c.dc_ring == *want, "{at}: deferral ring");
+        let filed = c.tx_at.iter().filter(|&&t| t != NEVER).count();
+        assert_eq!(c.filed, filed, "{at}: filed count");
+        if c.words == 1 && !c.stale {
+            let next_at = c.tx_at.iter().copied().min().unwrap();
+            let next_mask =
+                (c.tx_at.iter().enumerate()).fold(0, |m, (i, &t)| m | ((t == next_at) as u64) << i);
+            assert_eq!(
+                (c.next_at, c.next_mask),
+                (next_at, next_mask),
+                "{at}: cache"
+            );
+        }
+    }
+
+    /// Every station's counters and both RNG streams must match.
+    fn assert_objects<P: BackoffProcess>(
+        ps: &[P],
+        core: &ContentionCore,
+        rngs: (&SmallRng, &SmallRng),
+        at: &str,
+    ) {
+        for (i, p) in ps.iter().enumerate() {
+            assert_eq!(p.snapshot(), core.snapshot(i), "{at}: station {i}");
+        }
+        assert_eq!(rngs.0, rngs.1, "{at}: RNG streams");
+    }
+
+    /// Fold the cache after a call and check it, the clocks, the next
+    /// contender set and every station against the objects.
+    fn check_after<P: BackoffProcess>(
+        ps: &[P],
+        core: &mut ContentionCore,
+        rngs: (&SmallRng, &SmallRng),
+        want: &mut Vec<u64>,
+        at: &str,
+    ) {
+        let (mut zero, mut min) = (Vec::new(), u32::MAX);
+        core.fold(&mut zero, &mut min);
+        assert_clocks(&core.clocks, want, at);
+        assert_cache(core, &zero, min, at);
+        let mut next = Vec::new();
+        core.contenders(&mut next);
+        assert_eq!(next, zero, "{at}: contenders after the call");
+        assert_objects(ps, core, rngs, at);
+    }
+
     /// Drive the same slot sequence through process objects and through
-    /// `core` with cloned RNGs, emulating the engine's loop (scan →
-    /// idle / success / collision): the fused cache, every counter
-    /// snapshot and the RNG states must agree at every slot.
+    /// `core` with cloned RNGs, every station backlogged, emulating the
+    /// engine's loop (scan → idle / busy slot → fold): the cache, the
+    /// clocks, every counter snapshot and the RNG states must agree at
+    /// every slot.
     fn mirror_slots<P: BackoffProcess>(
         ps: &mut [P],
         core: &mut ContentionCore,
         slots: usize,
         seed: u64,
     ) {
+        let on = vec![true; ps.len()];
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = rng_a.clone();
+        let mut want = Vec::new();
         for slot in 0..slots {
-            let tx: Vec<usize> = ps
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.wants_tx())
-                .map(|(i, _)| i)
-                .collect();
+            let at = format!("slot {slot}");
+            let tx = object_tx(ps, &on);
             let mut core_tx = Vec::new();
             core.contenders(&mut core_tx);
-            assert_eq!(core_tx, tx, "slot {slot} contenders");
-            let (mut zero, mut min) = (Vec::new(), u32::MAX);
-            match tx.len() {
-                0 => {
-                    for p in ps.iter_mut() {
-                        p.on_idle_slot(&mut rng_a);
-                    }
-                    core.idle_sweep::<true>(&mut zero, &mut min);
-                }
-                1 => {
-                    let w = tx[0];
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if i == w {
-                            p.on_tx_success(&mut rng_a);
-                        } else {
-                            p.on_busy(&mut rng_a);
-                        }
-                    }
-                    core.success_sweep::<true>(w, &mut rng_b, &mut zero, &mut min);
-                }
-                _ => {
-                    // Alternate drop/advance to cover both actions.
-                    let actions: Vec<SweepAction> = tx
-                        .iter()
-                        .map(|&i| {
-                            if (i + slot) % 3 == 0 {
-                                SweepAction::Restart
-                            } else {
-                                SweepAction::Advance
-                            }
-                        })
-                        .collect();
-                    let mut txi = 0usize;
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if txi < tx.len() && tx[txi] == i {
-                            match actions[txi] {
-                                SweepAction::Restart => p.reset(&mut rng_a),
-                                SweepAction::Advance => p.on_tx_failure(&mut rng_a),
-                            }
-                            txi += 1;
-                        } else {
-                            p.on_busy(&mut rng_a);
-                        }
-                    }
-                    core.collision_sweep::<true>(&tx, &actions, &mut rng_b, &mut zero, &mut min);
-                }
-            }
-            assert_cache(core, &zero, min, slot);
-            for (i, p) in ps.iter().enumerate() {
-                assert_eq!(p.snapshot(), core.snapshot(i), "slot {slot} station {i}");
-                assert_eq!(p.wants_tx(), core.bc_of(i) == 0, "slot {slot} station {i}");
-            }
-            assert_eq!(rng_a, rng_b, "RNG streams diverged at slot {slot}");
+            assert_eq!(core_tx, tx, "{at}: contenders");
+            let actions = actions_for(&tx, slot);
+            object_slot(ps, &on, &tx, &actions, &mut rng_a);
+            core_slot(core, &tx, &actions, &mut rng_b);
+            check_after(ps, core, (&rng_a, &rng_b), &mut want, &at);
         }
     }
 
@@ -1447,22 +1237,25 @@ mod tests {
             .map(|_| Backoff1901::default_ca1(&mut seed_rng))
             .collect();
         let mut core = core_of(&ps);
-        assert!(core.events.is_some());
         mirror_slots(&mut ps, &mut core, 500, 99);
     }
 
     #[test]
     fn mirrors_object_transitions_1901_generic_path() {
-        // The same population on the packed layout: the generic sweep
-        // (per-station checks) must agree station for station with the
-        // objects, as the event layout does.
-        let mut seed_rng = SmallRng::seed_from_u64(7);
-        let mut ps: Vec<Backoff1901> = (0..4)
-            .map(|_| Backoff1901::default_ca1(&mut seed_rng))
-            .collect();
-        let mut core = ContentionCore::try_packed(&views_of(&ps), true).unwrap();
-        assert!(core.events.is_none());
-        mirror_slots(&mut ps, &mut core, 500, 99);
+        // Two stage tables: every redraw reads its station's class table
+        // instead of the hoisted one, on one bitset word and on two.
+        for n in [4, 70] {
+            let mut seed_rng = SmallRng::seed_from_u64(7);
+            let mut ps: Vec<Backoff1901> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut seed_rng),
+                    _ => Backoff1901::default_ca1(&mut seed_rng),
+                })
+                .collect();
+            let mut core = core_of(&ps);
+            assert_eq!(core.classes.len(), 2);
+            mirror_slots(&mut ps, &mut core, 2_000, 99);
+        }
     }
 
     #[test]
@@ -1471,7 +1264,7 @@ mod tests {
         // many laps of both rings.
         let mut ps = stations_1901(130, &[8, 16, 32, 64], &[0, 1, 3, 15], 11);
         let mut core = core_of(&ps);
-        assert!(core.events.is_some());
+        assert_eq!(core.clocks.words, 3);
         mirror_slots(&mut ps, &mut core, 20_000, 12);
     }
 
@@ -1490,33 +1283,8 @@ mod tests {
         for (n, cw, dc, slots) in cases {
             let mut ps = stations_1901(n, cw, dc, n as u64);
             let mut core = core_of(&ps);
-            assert!(core.events.is_some(), "N = {n}");
             mirror_slots(&mut ps, &mut core, slots, 3);
         }
-    }
-
-    /// Every station's clocks must be filed exactly where they point:
-    /// its bit set in transmit bucket `tx_at mod R_tx` (multi-word
-    /// populations; one word files no transmit clocks) and in deferral
-    /// bucket `dc_at mod R_dc` unless its DC is disabled, and in no other
-    /// bucket of either ring. `want` is scratch, rebuilt on every call.
-    fn assert_rings(ev: &EventLayout, want: &mut Vec<u64>, at: &str) {
-        want.clear();
-        want.resize(ev.tx_ring.len(), 0);
-        if !want.is_empty() {
-            for (i, &t) in ev.tx_at.iter().enumerate() {
-                want[ev.tx_word(t, i)] |= bit(i);
-            }
-        }
-        assert!(ev.tx_ring == *want, "{at}: transmit ring");
-        want.clear();
-        want.resize(ev.dc_ring.len(), 0);
-        for (i, &d) in ev.dc_at.iter().enumerate() {
-            if d != NEVER {
-                want[ev.dc_word(d, i)] |= bit(i);
-            }
-        }
-        assert!(ev.dc_ring == *want, "{at}: deferral ring");
     }
 
     #[test]
@@ -1526,9 +1294,10 @@ mod tests {
         // it (at the horizon, a beacon or a noise edge; k = 0 is the
         // engine's cache rebuild) and single idle slots, on one-word
         // populations (the cached due set) and on two, three and eight
-        // bitset words (both rings). After every call the fused cache,
-        // the contender set and both rings must equal a fresh scan, and
-        // every counter the packed layout's, driven alike.
+        // bitset words (both rings). After every call the fold, the
+        // contender set, both rings and the one-word cache must equal a
+        // fresh scan, and every counter and the RNG the objects', driven
+        // alike.
         let off = [DC_DISABLED; 4];
         let tables: [(&[u32], &[u32]); 3] = [
             (&[8, 16, 32, 64], &[0, 1, 3, 15]),
@@ -1537,15 +1306,12 @@ mod tests {
         ];
         let mut want = Vec::new();
         for n in [1, 2, 5, 63, 64, 65, 130, 500] {
+            let on = vec![true; n];
             let (mut full_n, mut clamped_n) = (0, 0);
             for (cw, dc) in tables {
-                let ps = stations_1901(n, cw, dc, n as u64);
+                let mut ps = stations_1901(n, cw, dc, n as u64);
                 let mut core = core_of(&ps);
-                assert!(core
-                    .events
-                    .as_ref()
-                    .is_some_and(|ev| ev.words == n.div_ceil(64)));
-                let mut packed = ContentionCore::try_packed(&views_of(&ps), true).unwrap();
+                assert_eq!(core.clocks.words, n.div_ceil(64));
                 let mut pick = SmallRng::seed_from_u64(n as u64 ^ cw[0] as u64);
                 let mut rng_a = SmallRng::seed_from_u64(21);
                 let mut rng_b = rng_a.clone();
@@ -1554,70 +1320,37 @@ mod tests {
                     let at = format!("N = {n}, CW {cw:?}, call {call}");
                     let mut tx = Vec::new();
                     core.contenders(&mut tx);
-                    let scan: Vec<usize> = (0..n).filter(|&i| core.bc_of(i) == 0).collect();
-                    assert_eq!(tx, scan, "{at}: contenders");
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
-                    let (mut zero_p, mut min_p) = (Vec::new(), u32::MAX);
-                    match tx.len() {
-                        0 => {
-                            let min_bc = (0..n).map(|i| core.bc_of(i)).min().unwrap();
-                            match pick.next_u32() % 3 {
-                                0 => {
-                                    full += 1;
-                                    core.skip_idle(min_bc, &mut zero, &mut min);
-                                    packed.skip_idle(min_bc, &mut zero_p, &mut min_p);
-                                }
-                                1 => {
-                                    let k = pick.next_u32() % min_bc;
-                                    clamped += (k > 0) as usize;
-                                    core.skip_idle(k, &mut zero, &mut min);
-                                    packed.skip_idle(k, &mut zero_p, &mut min_p);
-                                }
-                                _ => {
-                                    core.idle_sweep::<true>(&mut zero, &mut min);
-                                    packed.idle_sweep::<true>(&mut zero_p, &mut min_p);
-                                }
+                    assert_eq!(tx, object_tx(&ps, &on), "{at}: contenders");
+                    let mut jump = None;
+                    if tx.is_empty() {
+                        let min_bc = ps.iter().map(|p| p.snapshot().bc).min().unwrap();
+                        match pick.next_u32() % 3 {
+                            0 => {
+                                full += 1;
+                                jump = Some(min_bc);
                             }
-                        }
-                        1 => {
-                            core.success_sweep::<true>(tx[0], &mut rng_a, &mut zero, &mut min);
-                            packed.success_sweep::<true>(
-                                tx[0],
-                                &mut rng_b,
-                                &mut zero_p,
-                                &mut min_p,
-                            );
-                        }
-                        _ => {
-                            let actions: Vec<SweepAction> = tx
-                                .iter()
-                                .map(|&i| match (i + call) % 3 {
-                                    0 => SweepAction::Restart,
-                                    _ => SweepAction::Advance,
-                                })
-                                .collect();
-                            core.collision_sweep::<true>(
-                                &tx, &actions, &mut rng_a, &mut zero, &mut min,
-                            );
-                            packed.collision_sweep::<true>(
-                                &tx,
-                                &actions,
-                                &mut rng_b,
-                                &mut zero_p,
-                                &mut min_p,
-                            );
+                            1 => {
+                                let k = pick.next_u32() % min_bc;
+                                clamped += (k > 0) as usize;
+                                jump = Some(k);
+                            }
+                            _ => {}
                         }
                     }
-                    assert_rings(core.events.as_ref().unwrap(), &mut want, &at);
-                    assert_cache(&core, &zero, min, call);
-                    assert_eq!(zero, zero_p, "{at}: zero set against the packed layout");
-                    let mut next = Vec::new();
-                    core.contenders(&mut next);
-                    assert_eq!(next, zero, "{at}: contenders after the call");
-                    for i in 0..n {
-                        assert_eq!(core.snapshot(i), packed.snapshot(i), "{at}: station {i}");
+                    match jump {
+                        Some(k) => {
+                            for p in &mut ps {
+                                p.consume_idle_slots(k);
+                            }
+                            core.skip_idle(k);
+                        }
+                        None => {
+                            let actions = actions_for(&tx, call);
+                            object_slot(&mut ps, &on, &tx, &actions, &mut rng_a);
+                            core_slot(&mut core, &tx, &actions, &mut rng_b);
+                        }
                     }
-                    assert_eq!(rng_a, rng_b, "{at}: RNG streams");
+                    check_after(&ps, &mut core, (&rng_a, &rng_b), &mut want, &at);
                 }
                 assert!(
                     n > 64 || full > 0 && clamped > 0,
@@ -1638,59 +1371,201 @@ mod tests {
 
     #[test]
     fn mirrors_object_transitions_dcf() {
-        let mut seed_rng = SmallRng::seed_from_u64(3);
-        let mut ps: Vec<BackoffDcf> = (0..3).map(|_| BackoffDcf::classic(&mut seed_rng)).collect();
-        let mut core = core_of(&ps);
-        mirror_slots(&mut ps, &mut core, 400, 5);
+        // One bitset word and two: the BC clock stops on busy slots.
+        for (n, slots) in [(3, 400), (70, 4_000)] {
+            let mut seed_rng = SmallRng::seed_from_u64(3);
+            let mut ps: Vec<BackoffDcf> =
+                (0..n).map(|_| BackoffDcf::classic(&mut seed_rng)).collect();
+            let mut core = core_of(&ps);
+            mirror_slots(&mut ps, &mut core, slots, 5);
+        }
+    }
+
+    /// Drive `ps` and their core through random backlog changes in the
+    /// engine's order — arrivals (`reset_now`, then the backlog flag) and
+    /// priority freezes and unfreezes at the top of a step, a slot or a
+    /// jump, then drains of the slot's transmitters after their redraw —
+    /// and compare with the objects after every call. Stations that do
+    /// not contend get no object call, so their counters hold.
+    fn drive_backlog<P: BackoffProcess>(ps: &mut [P], calls: usize, seed: u64) {
+        let n = ps.len();
+        let mut core = core_of(ps);
+        let mut pick = SmallRng::seed_from_u64(seed);
+        let mut rng_a = SmallRng::seed_from_u64(seed ^ 1);
+        let mut rng_b = rng_a.clone();
+        let mut want = Vec::new();
+        let (mut backlog, mut frozen) = (vec![true; n], vec![false; n]);
+        let (mut parks, mut unparks, mut arrivals) = (0, 0, 0);
+        for call in 0..calls {
+            let at = |what: &str| format!("N = {n}, call {call}: {what}");
+            let mut set_active = |core: &mut ContentionCore, i: usize, on: bool| {
+                let was = !core.clocks.parked(i);
+                core.set_active(i, on);
+                assert_eq!(core.clocks.parked(i), !on);
+                parks += (was && !on) as usize;
+                unparks += (!was && on) as usize;
+            };
+            for i in 0..n {
+                // An arrival can reach a station still backlogged with
+                // errored blocks to resend, filed or frozen, as well as a
+                // drained one.
+                match pick.next_u32() % 16 {
+                    0 => {
+                        backlog[i] = true;
+                        arrivals += 1;
+                        ps[i].reset(&mut rng_a);
+                        core.reset_now(i, &mut rng_b);
+                        assert!(!core.clocks.parked(i), "{}", at("an arrival files"));
+                        assert_objects(ps, &core, (&rng_a, &rng_b), &at("arrival"));
+                    }
+                    1 => frozen[i] = !frozen[i],
+                    _ => continue,
+                }
+                set_active(&mut core, i, backlog[i] && !frozen[i]);
+                assert_objects(ps, &core, (&rng_a, &rng_b), &at("backlog flag"));
+            }
+            let on: Vec<bool> = (0..n).map(|i| backlog[i] && !frozen[i]).collect();
+            let mut tx = Vec::new();
+            core.contenders(&mut tx);
+            assert_eq!(tx, object_tx(ps, &on), "{}", at("contenders"));
+            let min_bc = (0..n).filter(|&i| on[i]).map(|i| ps[i].snapshot().bc).min();
+            match min_bc {
+                Some(m) if m > 1 && pick.next_u32() % 2 == 0 => {
+                    let k = 1 + pick.next_u32() % m;
+                    for i in (0..n).filter(|&i| on[i]) {
+                        ps[i].consume_idle_slots(k);
+                    }
+                    core.skip_idle(k);
+                }
+                _ => {
+                    let actions = actions_for(&tx, call);
+                    object_slot(ps, &on, &tx, &actions, &mut rng_a);
+                    core_slot(&mut core, &tx, &actions, &mut rng_b);
+                    assert_objects(ps, &core, (&rng_a, &rng_b), &at("slot"));
+                    for &i in &tx {
+                        if pick.next_u32() % 2 == 0 {
+                            backlog[i] = false;
+                            set_active(&mut core, i, false);
+                        }
+                    }
+                }
+            }
+            check_after(ps, &mut core, (&rng_a, &rng_b), &mut want, &at("step"));
+        }
+        assert!(
+            parks > calls / 10 && unparks > calls / 10 && arrivals > calls / 10,
+            "N = {n}: {parks} parks, {unparks} unparks, {arrivals} arrivals"
+        );
+    }
+
+    #[test]
+    fn parks_and_unparks_like_the_objects() {
+        for n in [5, 70] {
+            let mut seed_rng = SmallRng::seed_from_u64(n as u64);
+            // Two 1901 tables, so a redraw reads its station's table.
+            let mut ps: Vec<Backoff1901> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut seed_rng),
+                    _ => Backoff1901::default_ca1(&mut seed_rng),
+                })
+                .collect();
+            drive_backlog(&mut ps, 3_000, n as u64);
+            let mut ps: Vec<BackoffDcf> =
+                (0..n).map(|_| BackoffDcf::classic(&mut seed_rng)).collect();
+            drive_backlog(&mut ps, 3_000, n as u64 + 1);
+        }
+    }
+
+    /// `n` copies of a 1901 view on the (CW, DC) table at stage 0.
+    fn views_1901(n: usize, cw: &[u32], dc: &[u32]) -> Vec<SoaView> {
+        let stages: Vec<SoaStage> = (cw.iter().zip(dc))
+            .map(|(&cw, &dc)| SoaStage { cw, dc })
+            .collect();
+        let view = SoaView {
+            protocol: Protocol::Ieee1901,
+            state: SoaState {
+                bc: 0,
+                dc: stages[0].dc,
+                bpc: 1,
+                stage: 0,
+            },
+            stages,
+        };
+        vec![view; n]
     }
 
     #[test]
     fn rejects_unrepresentable_views() {
-        use plc_mac::process::{SoaStage, SoaState};
+        let reject = |views: &[SoaView]| ContentionCore::try_from_views(views).err();
         let view = |cw: u32, dc: u32, nstages: usize| SoaView {
-            protocol: Protocol::Ieee1901,
             stages: vec![SoaStage { cw, dc }; nstages],
-            state: SoaState {
-                bc: 0,
-                dc: 0,
-                bpc: 1,
-                stage: 0,
-            },
+            ..views_1901(1, &[8], &[0]).remove(0)
         };
-        assert!(ContentionCore::from_views(&[], true).is_none());
-        assert!(ContentionCore::from_views(&[view(1 << 17, 0, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(0, 0, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(8, 0, 257)], true).is_none());
-        // A DC too large to pack (yet not disabled) is rejected; the
-        // disabled sentinel itself is representable.
-        assert!(ContentionCore::from_views(&[view(8, 0xFFFF, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(8, DC_DISABLED, 4)], true).is_some());
-        assert!(ContentionCore::from_views(&[view(8, 0, 4)], true).is_some());
+        assert_eq!(reject(&[]), Some(CoreRejection::Empty));
+        assert_eq!(
+            reject(&[view(0, 0, 4)]),
+            Some(CoreRejection::WindowUnrepresentable { station: 0, cw: 0 })
+        );
+        assert_eq!(
+            reject(&[view(8, 0, 257)]),
+            Some(CoreRejection::StageTableSize {
+                station: 0,
+                stages: 257
+            })
+        );
+        // u64 clocks take any window, deferral counter and live counter
+        // the views carry.
+        let mut big = view(1 << 17, 0xFFFF, 4);
+        big.state.bc = u16::MAX as u32 + 1;
+        big.state.dc = 0xFFFF;
+        for v in [big, view(8, DC_DISABLED, 4), view(8, 0, 4)] {
+            assert_eq!(reject(&[v]), None);
+        }
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mixed = [
+            Backoff1901::default_ca1(&mut rng).soa_view().unwrap(),
+            BackoffDcf::classic(&mut rng).soa_view().unwrap(),
+        ];
+        assert_eq!(
+            reject(&mixed),
+            Some(CoreRejection::MixedProtocols { station: 1 })
+        );
     }
 
     #[test]
-    fn dedups_classes_and_picks_the_layout() {
+    fn dedups_classes_and_hosts_every_population() {
         let mut rng = SmallRng::seed_from_u64(1);
         let ps: Vec<Backoff1901> = (0..10)
             .map(|_| Backoff1901::default_ca1(&mut rng))
             .collect();
-        let core = core_of(&ps);
-        assert_eq!(core.classes.len(), 1);
-        assert!(
-            core.events.is_some() && core.bcdc.is_empty(),
-            "saturated single-class 1901 takes the event layout"
-        );
-        let lazy = ContentionCore::from_views(&views_of(&ps), false).unwrap();
-        assert!(lazy.events.is_none(), "dynamic backlog never qualifies");
+        assert_eq!(core_of(&ps).classes.len(), 1);
+        let mixed: Vec<Backoff1901> = (0..10)
+            .map(|i| match i % 2 {
+                0 => Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng),
+                _ => Backoff1901::default_ca1(&mut rng),
+            })
+            .collect();
+        let core = core_of(&mixed);
+        assert_eq!(core.classes.len(), 2);
+        assert_eq!(core.class, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]);
         let dcf: Vec<BackoffDcf> = (0..10).map(|_| BackoffDcf::classic(&mut rng)).collect();
-        assert!(core_of(&dcf).events.is_none(), "DCF stays packed");
-        // CW 8192 at N = 1000: (8192 + 16) buckets × 16 words × 8 bytes
-        // overflow the ring cap; at N = 500 (8 words) they fit.
-        let wide = |n| stations_1901(n, &[128, 512, 2048, 8192], &[0, 1, 3, 15], 2);
+        assert_eq!(core_of(&dcf).clocks.proto, Protocol::Dcf80211);
+        // CW 8192: (8192 + 16) buckets × 16 words × 8 bytes ≈ 1.05 MB of
+        // rings at N = 1000, ≈ 30.8 MB at N = 30,000 (469 words), and
+        // past the 32 MiB cap at N = 33,000 (516 words).
+        let wide = |n| views_1901(n, &[128, 512, 2048, 8192], &[0, 1, 3, 15]);
+        for n in [1000, 30_000] {
+            let core = ContentionCore::try_from_views(&wide(n)).unwrap();
+            let bytes = 8 * (core.clocks.tx_ring.len() + core.clocks.dc_ring.len());
+            assert!(
+                (1 << 20..=RING_BYTES_MAX).contains(&bytes),
+                "N = {n}: {bytes} bytes"
+            );
+        }
+        let too_wide = ContentionCore::try_from_views(&wide(33_000)).err();
         assert!(
-            core_of(&wide(1000)).events.is_none(),
-            "oversized rings stay packed"
+            matches!(too_wide, Some(CoreRejection::RingsTooLarge { bytes }) if bytes > RING_BYTES_MAX),
+            "{too_wide:?}"
         );
-        assert!(core_of(&wide(500)).events.is_some());
     }
 }

@@ -149,11 +149,14 @@ pub struct EngineConfig {
     /// per-slot path regardless, since it needs every step materialized.
     pub fast_forward: bool,
     /// Host the contention counters in a struct-of-arrays core (default
-    /// `true`), making the busy-slot pass a tight sweep over parallel
-    /// arrays with batched RNG draws. Bit-identical to the per-object
+    /// `true`) that keeps, per station, the slot at which each counter
+    /// runs out, so a busy slot visits only the transmitters and the
+    /// stations whose deferral ran out. Bit-identical to the per-object
     /// path — same traces, metrics and RNG stream, pinned by the
-    /// `soa_equivalence` suite — and engaged only when every station's
-    /// process exports a [`plc_mac::SoaView`]; disable to force the
+    /// `soa_equivalence` suite — and engaged when every station's process
+    /// exports a [`plc_mac::SoaView`] and the core can host the
+    /// population (one protocol, rings within its memory cap; otherwise
+    /// [`SlottedEngine::soa_rejection`] says why); disable to force the
     /// per-object reference path.
     pub soa: bool,
     /// Cooperative cancellation: when installed, [`SlottedEngine::run`]
@@ -631,8 +634,7 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// come back).
     noise_idx: usize,
     /// Every station saturated and one priority: the backlog flags are
-    /// constant `true` (and the event-indexed core, which has none, may
-    /// be in use).
+    /// constant `true`, and the contention core never parks a station.
     fixed_backlog: bool,
     /// The stations' priorities differ, so contention runs in
     /// priority-resolution rounds (see the module docs).
@@ -654,12 +656,12 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// order the contend scan produces) and, when `zero_bc` is empty,
     /// `min_bc` the minimum backoff counter over backlogged stations
     /// (`u32::MAX` when none). With transmitters pending `min_bc` is
-    /// never read, and the event-indexed core does not compute it.
-    /// Maintained by the `TRACK = true` step path by folding
-    /// [`BackoffProcess::idle_skip`] into the mutation loops it already
-    /// runs, so the per-step contention rescan disappears; any mutation
-    /// outside those loops (traffic reset, external `step()` calls)
-    /// invalidates it.
+    /// never read, and the contention core does not compute it.
+    /// Maintained by the `TRACK = true` step path: the per-object loops
+    /// fold [`BackoffProcess::idle_skip`] as they mutate, and the core
+    /// reads the cache off its clocks once per step, so the per-step
+    /// contention rescan disappears; any mutation outside those loops
+    /// (traffic reset, external `step()` calls) invalidates it.
     hint_valid: bool,
     min_bc: u32,
     zero_bc: Vec<StationId>,
@@ -669,10 +671,10 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// at build time — and every read or mutation of contention state
     /// routes through it.
     core: Option<ContentionCore>,
-    /// Why the struct-of-arrays core could not be packed, when `cfg.soa`
-    /// was requested but the engine had to fall back to the per-object
-    /// path. `None` either means the core is active or that a process
-    /// opted out of exporting a SoA view.
+    /// Why the struct-of-arrays core could not host the stations, when
+    /// `cfg.soa` was requested but the engine had to fall back to the
+    /// per-object path. `None` either means the core is active or that a
+    /// process opted out of exporting a SoA view.
     soa_rejection: Option<CoreRejection>,
     /// Scratch buffer of per-transmitter sweep actions (collision arm).
     action_buf: Vec<SweepAction>,
@@ -721,9 +723,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         let fixed_backlog = !resolves && stations.iter().all(|s| s.traffic.is_saturated());
         let next_traffic_event = next_traffic_event(&stations);
         // Move the contention counters into the struct-of-arrays core
-        // when every process can export them; a single opt-out (or an
-        // unrepresentable table) falls back to the per-object path, and
-        // the rejection reason is kept so callers (and the
+        // when every process can export them; a single opt-out (or a
+        // population the core cannot host) falls back to the per-object
+        // path, and the rejection reason is kept so callers (and the
         // `engine.soa_fallbacks` counter) can see *why* instead of the
         // core silently staying unused.
         let mut soa_rejection = None;
@@ -733,11 +735,11 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 .map(|s| s.process.soa_view())
                 .collect::<Option<Vec<_>>>()
             {
-                Some(views) => match ContentionCore::try_from_views(&views, fixed_backlog) {
+                Some(views) => match ContentionCore::try_from_views(&views) {
                     Ok(mut core) => {
                         // The backlog flags mirror the queues between
-                        // steps, from the start: fast-forward folds its
-                        // jump length and consumes idle slots by them.
+                        // steps, from the start: a station that does not
+                        // contend parks, and its counters hold.
                         if !fixed_backlog {
                             for (i, st) in stations.iter().enumerate() {
                                 core.set_active(i, st.contends());
@@ -751,7 +753,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     }
                 },
                 // A process without a SoA view opted out by design — not
-                // a packing failure, so no rejection is recorded.
+                // a hosting failure, so no rejection is recorded.
                 None => None,
             }
         } else {
@@ -837,7 +839,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         // Make silent SoA fallbacks visible: the counter exists whenever
         // an instrumented engine runs, so a zero reading means "core
         // active or opted out", a non-zero reading says how many engines
-        // hit an unrepresentable contention table.
+        // held a population the core could not host.
         let fallbacks = registry.try_counter("engine.soa_fallbacks")?;
         if self.soa_rejection.is_some() {
             fallbacks.add(1);
@@ -847,8 +849,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
     /// Why the struct-of-arrays contention core was rejected, when
     /// [`EngineConfig::soa`] asked for it but the engine fell back to the
-    /// per-object path. `None` means the core is active, SoA was not
-    /// requested, or a process opted out of exporting a view.
+    /// per-object path: a population that mixes IEEE 1901 and DCF
+    /// stations, rings above the core's memory cap, or a malformed view.
+    /// `None` means the core is active, SoA was not requested, or a
+    /// process opted out of exporting a view.
     pub fn soa_rejection(&self) -> Option<&CoreRejection> {
         self.soa_rejection.as_ref()
     }
@@ -944,12 +948,12 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             }
             self.min_bc
         } else if let Some(core) = &mut self.core {
-            // Skipping no slots folds the cache from the core's own
-            // backlog flags without changing its state.
+            // The core folds the cache off its clocks without changing
+            // its state.
             let mut zero = std::mem::take(&mut self.zero_bc);
             zero.clear();
             let mut k = u32::MAX;
-            core.skip_idle(0, &mut zero, &mut k);
+            core.fold(&mut zero, &mut k);
             let transmits = !zero.is_empty();
             self.zero_bc = zero;
             if transmits {
@@ -1006,7 +1010,8 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             let mut min = u32::MAX;
             let mut poisoned = false;
             if let Some(core) = &mut self.core {
-                core.skip_idle(skipped as u32, &mut zero, &mut min);
+                core.skip_idle(skipped as u32);
+                core.fold(&mut zero, &mut min);
             } else {
                 for (i, st) in self.stations.iter_mut().enumerate() {
                     if st.contends() {
@@ -1038,7 +1043,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
     /// Open a priority-resolution round when a station is backlogged:
     /// resolve the backlogged stations' classes and freeze every station
-    /// outside the winner, clearing its backlog flag in the core.
+    /// outside the winner, parking it in the core.
     /// Rebuilding every flag here is what lets a round's close leave the
     /// stale `frozen` marks in place: no station contends between a close
     /// and the next opening.
@@ -1193,7 +1198,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         if TRACK && self.hint_valid {
             // `zero_bc` is exactly the contender set, in scan order.
             std::mem::swap(&mut self.tx_buf, &mut self.zero_bc);
-        } else if let Some(core) = &self.core {
+        } else if let Some(core) = &mut self.core {
             core.contenders(&mut self.tx_buf);
         } else {
             for (i, st) in self.stations.iter().enumerate() {
@@ -1204,8 +1209,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         }
         let tx = std::mem::take(&mut self.tx_buf);
 
-        // Every outcome branch below rebuilds the contention cache while
-        // it mutates station state, so the next step never rescans.
+        // Every per-object outcome branch below rebuilds the contention
+        // cache while it mutates station state, and the core reads it off
+        // its clocks after the step, so the next step never rescans.
         let mut zero = if TRACK {
             let mut z = std::mem::take(&mut self.zero_bc);
             z.clear();
@@ -1222,7 +1228,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         let outcome = match tx.len() {
             0 => {
                 if let Some(core) = &mut self.core {
-                    core.idle_sweep::<TRACK>(&mut zero, &mut min_bc);
+                    core.idle_slot();
                 } else {
                     for (i, st) in self.stations.iter_mut().enumerate() {
                         if st.contends() {
@@ -1279,15 +1285,20 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 // Winner resets; everyone else with traffic sensed busy.
                 if let Some(core) = &mut self.core {
                     // Engine-level bookkeeping first (consumes no RNG
-                    // draws), then the sweep redraws in ascending station
-                    // order — the per-object draw order.
+                    // draws), then the busy slot redraws in ascending
+                    // station order — the per-object draw order — and a
+                    // winner whose queue ran dry parks after its redraw.
                     let st = &mut self.stations[w];
                     st.retry = RetryState::new();
                     st.traffic.consume(fresh_consumed);
+                    core.busy_slot(
+                        std::slice::from_ref(&w),
+                        &[SweepAction::Restart],
+                        &mut self.rng,
+                    );
                     if !self.fixed_backlog {
                         core.set_active(w, st.contends());
                     }
-                    core.success_sweep::<TRACK>(w, &mut self.rng, &mut zero, &mut min_bc);
                 } else {
                     for i in 0..self.stations.len() {
                         if i == w {
@@ -1348,7 +1359,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     bursts.push((i, burst));
                     max_burst = max_burst.max(burst);
                     self.metrics.record_collider(i, burst);
-                    if let Some(core) = &mut self.core {
+                    if self.core.is_some() {
                         if st.retry.record_failure(self.cfg.retry) {
                             st.retry = RetryState::new();
                             // Drop the head-of-line unit: a pending
@@ -1360,9 +1371,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                             actions.push(SweepAction::Restart);
                         } else {
                             actions.push(SweepAction::Advance);
-                        }
-                        if !self.fixed_backlog {
-                            core.set_active(i, st.contends());
                         }
                     }
                 }
@@ -1401,8 +1409,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 if let Some(core) = &mut self.core {
                     // The drops were decided above; their events follow
                     // the wire events, before the `Collision` event, as in
-                    // the per-object loop. Then the sweep redraws in
-                    // ascending station order.
+                    // the per-object loop. Then the busy slot redraws in
+                    // ascending station order, and a collider whose drop
+                    // emptied its queue parks after its redraw.
                     if emitting {
                         for (&i, &action) in tx.iter().zip(&actions) {
                             if action == SweepAction::Restart {
@@ -1413,13 +1422,12 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                             }
                         }
                     }
-                    core.collision_sweep::<TRACK>(
-                        &tx,
-                        &actions,
-                        &mut self.rng,
-                        &mut zero,
-                        &mut min_bc,
-                    );
+                    core.busy_slot(&tx, &actions, &mut self.rng);
+                    if !self.fixed_backlog {
+                        for &i in &tx {
+                            core.set_active(i, self.stations[i].contends());
+                        }
+                    }
                 } else {
                     let sinks = &self.sinks;
                     collision_pass(
@@ -1474,6 +1482,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         }
 
         if TRACK {
+            if let Some(core) = &mut self.core {
+                core.fold(&mut zero, &mut min_bc);
+            }
             self.zero_bc = zero;
             self.min_bc = min_bc;
             self.hint_valid = !poisoned;
@@ -2089,7 +2100,7 @@ mod tests {
         // A saturated CA3 station wins every round, so the two CA1
         // stations never count down, sense busy or transmit: their
         // backoff state is the one they were built with, slot after slot,
-        // on the packed core and on the per-object path alike.
+        // parked in the core and on the per-object path alike.
         for soa in [true, false] {
             let build = || {
                 let mut rng = SmallRng::seed_from_u64(12);

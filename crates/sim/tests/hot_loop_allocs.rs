@@ -1,9 +1,9 @@
 //! Zero-allocation pins for the engine hot loops, with and without a
 //! registry attached, and the mean-field delay walk.
 //!
-//! The SoA contention core (its rings and clocks, or its batched RNG
-//! draw buffer) and the reused scratch vectors exist so that
-//! steady-state stepping never touches the heap. This test pins that
+//! The SoA contention core (its rings, clocks and held counters) and the
+//! reused scratch vectors exist so that steady-state stepping never
+//! touches the heap. This test pins that
 //! property with a counting global allocator: running the same scenario
 //! for horizon `H` and `2·H` must perform the **same number of
 //! allocations** — everything the engine allocates happens at build
@@ -156,6 +156,37 @@ fn poisson_run_does_not_allocate_per_step() {
 }
 
 #[test]
+fn parking_populations_do_not_allocate_per_step() {
+    // Poisson past one bitset word, where drained stations park and
+    // arrivals unpark them, and DCF, whose BC clock stops on busy slots,
+    // with the fast-forward on and off.
+    let poisson = TrafficModel::Poisson {
+        rate_per_us: 3.0e-5,
+        queue_cap: 8,
+    };
+    for fast_forward in [true, false] {
+        let short = traffic_allocs(130, poisson, 1e6, fast_forward, true);
+        let long = traffic_allocs(130, poisson, 2e6, fast_forward, true);
+        assert_eq!(
+            short, long,
+            "Poisson N = 130 (fast-forward {fast_forward}) allocated per step"
+        );
+        let dcf = |horizon_us: f64| {
+            let sim = Simulation::dcf(10)
+                .horizon_us(horizon_us)
+                .seed(42)
+                .fast_forward(fast_forward);
+            sim_allocs(10, sim)
+        };
+        let (short, long) = (dcf(1e6), dcf(2e6));
+        assert_eq!(
+            short, long,
+            "DCF N = 10 (fast-forward {fast_forward}) allocated per step"
+        );
+    }
+}
+
+#[test]
 fn instrumented_runs_do_not_allocate_per_step() {
     // With a registry attached the engine takes its instrumented loops:
     // the batched-timer fast loop, or a span per slot without the
@@ -199,14 +230,15 @@ fn mixed_priority_round_does_not_allocate_per_round() {
     use plc_mac::Backoff1901;
     use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
 
-    // Four saturated CA1 stations under a light CA3 source: every step
-    // past the first rounds opens or runs a priority-resolution round,
-    // on both the packed core and the per-object path.
-    let run = |horizon_us: f64, soa: bool| {
+    // Saturated CA1 stations under a light CA3 source: every step past
+    // the first rounds opens or runs a priority-resolution round, which
+    // parks one class and unparks the other, on the core (one bitset
+    // word and two) and on the per-object path.
+    let run = |n: usize, horizon_us: f64, soa: bool| {
         let (successes, count) = allocs_during(|| {
             let mut rng = SmallRng::seed_from_u64(7);
             let mut stations = Vec::new();
-            for _ in 0..4 {
+            for _ in 1..n {
                 stations.push(StationSpec::saturated(Backoff1901::new(
                     CsmaConfig::ieee1901_ca01(),
                     &mut rng,
@@ -226,7 +258,8 @@ fn mixed_priority_round_does_not_allocate_per_round() {
             };
             let mut engine = SlottedEngine::new(cfg, stations, 7);
             let m = engine.run();
-            (m.per_station[0].successes, m.per_station[4].successes)
+            let ca1: u64 = m.per_station[..n - 1].iter().map(|s| s.successes).sum();
+            (ca1, m.per_station[n - 1].successes)
         });
         assert!(
             successes.0 > 0 && successes.1 > 0,
@@ -234,12 +267,12 @@ fn mixed_priority_round_does_not_allocate_per_round() {
         );
         count
     };
-    for soa in [true, false] {
-        let short = run(1e6, soa);
-        let long = run(2e6, soa);
+    for (n, soa) in [(5, true), (5, false), (70, true)] {
+        let short = run(n, 1e6, soa);
+        let long = run(n, 2e6, soa);
         assert_eq!(
             short, long,
-            "mixed-priority round (soa {soa}) allocated per round"
+            "mixed-priority round (N = {n}, soa {soa}) allocated per round"
         );
     }
 }

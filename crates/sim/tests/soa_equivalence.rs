@@ -1,8 +1,9 @@
 //! Byte-identity pins for the struct-of-arrays contention core.
 //!
-//! The engine's hot path now runs on `ContentionCore`: parallel BC/DC/
-//! BPC/stage arrays, with BC/DC either event-indexed (saturated 1901) or
-//! packed and swept in one pass. The rebuild claims *exactness*: with the
+//! The engine's hot path runs on `ContentionCore`: parallel BPC/stage
+//! arrays, and BC/DC stored as the slot at which each counter runs out,
+//! filed in event rings, with stations that stop contending parked. The
+//! rebuild claims *exactness*: with the
 //! SoA core on or off, the event trace (including per-slot snapshots),
 //! the metrics struct, the engine's per-station `snapshot` readings and
 //! the sweep JSON export are byte-for-byte identical — not statistically
@@ -14,13 +15,14 @@
 //! noise, unsaturated traffic, PB errors, bursts, retry-limit drops,
 //! per-slot snapshot emission, stepped engines, and both fast-forward
 //! modes.
-//! Saturated 1901 populations run the core's event-indexed layout; the
-//! `across_bitset_words` cases pin it where its station bitsets need one
-//! word (N ≤ 64) and several (N = 65, 130, 500), and a window table wide
-//! enough that N = 1000 falls back to the packed layout. Property tests
-//! drive randomized populations and seeds (Poisson traffic with random
-//! station priorities, and saturated up to N = 200) through all four
-//! (soa × fast-forward) engine configurations.
+//! The `across_bitset_words` cases pin the core where its station bitsets
+//! need one word (N ≤ 64) and several (N = 65, 130, 500, and a wide
+//! window table at N = 1000): saturated 1901, then Poisson and on/off
+//! traffic, DCF under Poisson traffic and a mixed-priority population,
+//! whose drained and frozen stations park. Property tests drive
+//! randomized populations and seeds (Poisson traffic with random station
+//! priorities up to N = 70, and saturated up to N = 200) through all
+//! four (soa × fast-forward) engine configurations.
 
 use parking_lot::Mutex;
 use plc_core::config::{CsmaConfig, DC_DISABLED};
@@ -35,6 +37,7 @@ use plc_sim::metrics::Metrics;
 use plc_sim::runner::{SimReport, Simulation};
 use plc_sim::trace::{TraceEvent, VecTraceSink};
 use plc_sim::traffic::TrafficModel;
+use plc_sim::CoreRejection;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -70,7 +73,7 @@ fn equivalent_1901_saturated() {
 
 #[test]
 fn equivalent_1901_without_fast_forward() {
-    // The slow per-slot path exercises idle_sweep on every idle slot.
+    // The slow per-slot path takes every idle slot one at a time.
     let (report, _) = assert_soa_equivalent(
         Simulation::ieee1901(3)
             .horizon_us(1e6)
@@ -162,15 +165,14 @@ fn equivalent_everything_at_once() {
     assert!(report.metrics.beacons > 0);
 }
 
-/// Step `sim`'s engine slot by slot (the per-slot path, no idle jump)
-/// to its horizon, calling `probe` after every `every` steps, and return
-/// the final metrics.
+/// Step `engine` slot by slot (the per-slot path, no idle jump) to its
+/// horizon, calling `probe` after every `every` steps, and return the
+/// final metrics.
 fn stepped(
-    sim: &Simulation,
+    mut engine: SlottedEngine<AnyBackoff>,
     every: usize,
     mut probe: impl FnMut(&SlottedEngine<AnyBackoff>),
 ) -> Metrics {
-    let mut engine = sim.build();
     loop {
         let before = engine.steps();
         engine.run_steps(every);
@@ -188,7 +190,7 @@ fn observer_snapshots_are_identical() {
     let observe = |soa: bool| {
         let sim = Simulation::ieee1901(3).horizon_us(1e6).seed(8).soa(soa);
         let mut snaps = Vec::new();
-        let metrics = stepped(&sim, 500, |e| {
+        let metrics = stepped(sim.build(), 500, |e| {
             let stations: Vec<_> = (0..3).map(|i| e.snapshot(i)).collect();
             snaps.push((e.metrics().clone(), stations));
         });
@@ -218,7 +220,7 @@ fn sweep_json_is_byte_identical() {
 }
 
 /// Saturated population sizes on both sides of the 64-station bitset
-/// word of the event-indexed layout.
+/// word of the core's rings.
 const WORD_SPANNING: [usize; 5] = [63, 64, 65, 130, 500];
 
 /// A digest of the engine's time, slot tallies and every station's
@@ -255,7 +257,7 @@ fn assert_soa_equivalent_at(n: usize, sim: Simulation) -> SimReport {
     assert_eq!(soa, sim.clone().soa(false).run(), "N = {n} reports");
     let observe = |soa: bool| {
         let mut digests = Vec::new();
-        stepped(&sim.clone().soa(soa), 1, |e| digests.push(digest(e)));
+        stepped(sim.clone().soa(soa).build(), 1, |e| digests.push(digest(e)));
         digests
     };
     let (soa_steps, obj_steps) = (observe(true), observe(false));
@@ -318,23 +320,26 @@ fn equivalent_drops_and_beacons_across_bitset_words() {
 fn equivalent_wide_and_deferral_off_schedules_across_bitset_words() {
     // `cw128-g4-dc1901` reaches CW 8192 at stage 3: an 8192-bucket
     // transmit ring that the slot clock laps within the horizon, and at
-    // N = 1000 more ring memory than the event layout may take (packed
-    // there). `cw16-g2-dcoff` never files a deferral.
+    // N = 1000 1.05 MB of rings, which the core hosts. `cw16-g2-dcoff`
+    // never files a deferral.
     let wide = CsmaConfig::from_vectors(&[128, 512, 2048, 8192], &[0, 1, 3, 15]).unwrap();
     let dcoff = CsmaConfig::from_vectors(&[16, 32, 64, 128], &[DC_DISABLED; 4]).unwrap();
-    // The packed fallback needs no lap: a shorter horizon keeps it cheap.
+    // N = 1000 runs a shorter horizon to stay cheap; it need not lap.
     let cases = WORD_SPANNING
         .into_iter()
         .flat_map(|n| [(n, &wide, 3e6), (n, &dcoff, 3e6)])
         .chain([(1000, &wide, 1e6)]);
     for (n, config, horizon_us) in cases {
-        let report = assert_soa_equivalent_at(
-            n,
-            Simulation::ieee1901(n)
-                .config(config.clone())
-                .horizon_us(horizon_us)
-                .seed(n as u64 + 3),
+        let sim = Simulation::ieee1901(n)
+            .config(config.clone())
+            .horizon_us(horizon_us)
+            .seed(n as u64 + 3);
+        assert_eq!(
+            sim.build().soa_rejection(),
+            None,
+            "N = {n}: the core hosts it"
         );
+        let report = assert_soa_equivalent_at(n, sim);
         let m = &report.metrics;
         assert!(m.successes > 0, "N = {n}");
         if config == &wide && n <= 500 {
@@ -344,6 +349,178 @@ fn equivalent_wide_and_deferral_off_schedules_across_bitset_words() {
     }
 }
 
+/// Run `build(soa, fast_forward)` with the SoA core on and off, with the
+/// fast-forward on and off, and assert the core hosts the population and
+/// matches the per-object path: the metrics and the full event trace of
+/// each run, and a [`digest`] of every station's backoff state after
+/// every step of a stepped engine — which covers the counters that
+/// drained and frozen stations hold while they do not contend. Returns
+/// the metrics.
+fn assert_engine_equivalent(build: impl Fn(bool, bool) -> SlottedEngine<AnyBackoff>) -> Metrics {
+    assert_eq!(build(true, true).soa_rejection(), None, "the core hosts it");
+    let run = |soa: bool, ff: bool| {
+        let sink = Arc::new(Mutex::new(VecTraceSink::new()));
+        let mut engine = build(soa, ff);
+        engine.add_sink(sink.clone());
+        engine.run();
+        let events = std::mem::take(&mut sink.lock().events);
+        (engine.metrics().clone(), events)
+    };
+    let mut metrics = None;
+    for ff in [true, false] {
+        let (soa_metrics, soa_events) = run(true, ff);
+        let (obj_metrics, obj_events) = run(false, ff);
+        assert_eq!(soa_metrics, obj_metrics, "fast-forward {ff}: metrics");
+        let diverged = soa_events.iter().zip(&obj_events).position(|(a, b)| a != b);
+        assert_eq!(diverged, None, "fast-forward {ff}: event diverged");
+        assert_eq!(
+            soa_events.len(),
+            obj_events.len(),
+            "fast-forward {ff}: events"
+        );
+        metrics = Some(soa_metrics);
+    }
+    let observe = |soa: bool| {
+        let mut digests = Vec::new();
+        stepped(build(soa, false), 1, |e| digests.push(digest(e)));
+        digests
+    };
+    let (soa_steps, obj_steps) = (observe(true), observe(false));
+    assert!(!soa_steps.is_empty());
+    let diverged = soa_steps.iter().zip(&obj_steps).position(|(a, b)| a != b);
+    assert_eq!(diverged, None, "backoff state diverged at step");
+    assert_eq!(soa_steps.len(), obj_steps.len(), "observed steps");
+    metrics.unwrap()
+}
+
+/// `sim`'s engine with the given core and fast-forward settings.
+fn engine_of(sim: &Simulation) -> impl Fn(bool, bool) -> SlottedEngine<AnyBackoff> + '_ {
+    |soa, ff| sim.clone().soa(soa).fast_forward(ff).build()
+}
+
+/// Every population the engine hosts on the core beyond one saturated
+/// table, past one bitset word: Poisson and on/off traffic at N = 65
+/// and 130 (drained stations park and an arrival redraws them), and DCF
+/// under Poisson traffic at N = 130 (its BC clock stops on busy slots).
+#[test]
+fn equivalent_dynamic_backlog_across_bitset_words() {
+    let poisson = TrafficModel::Poisson {
+        rate_per_us: 3e-5,
+        queue_cap: 8,
+    };
+    let on_off = TrafficModel::OnOff {
+        rate_per_us: 1e-4,
+        mean_on_us: 2e5,
+        mean_off_us: 1e5,
+        queue_cap: 8,
+    };
+    let cases = [65, 130]
+        .into_iter()
+        .flat_map(|n| {
+            [
+                Simulation::ieee1901(n).traffic(poisson),
+                Simulation::ieee1901(n).traffic(on_off),
+            ]
+        })
+        .chain([Simulation::dcf(130).traffic(poisson)]);
+    for (case, sim) in cases.enumerate() {
+        let sim = sim.horizon_us(1e6).seed(case as u64 + 20);
+        let m = assert_engine_equivalent(engine_of(&sim));
+        assert!(m.successes > 0 && m.collision_events > 0, "case {case}");
+        assert!(m.idle_slots > 0, "case {case}: stations must drain");
+    }
+}
+
+/// A mixed-priority population at N = 70 on the CA1 and CA3 tables:
+/// every resolution round parks the losing class and unparks the winner,
+/// and each redraw reads its station's own table.
+#[test]
+fn equivalent_mixed_priority_across_bitset_words() {
+    let build = |soa: bool, ff: bool| {
+        let mut rng = SmallRng::seed_from_u64(70);
+        let stations: Vec<StationSpec<AnyBackoff>> = (0..70)
+            .map(|i| {
+                let priority = if i % 5 == 0 {
+                    Priority::CA3
+                } else {
+                    Priority::CA1
+                };
+                StationSpec {
+                    priority,
+                    traffic: TrafficModel::Poisson {
+                        rate_per_us: 2e-5,
+                        queue_cap: 8,
+                    },
+                    ..StationSpec::saturated(
+                        Backoff1901::new(CsmaConfig::ieee1901_for(priority), &mut rng).into(),
+                    )
+                }
+            })
+            .collect();
+        let cfg = EngineConfig {
+            fast_forward: ff,
+            soa,
+            ..EngineConfig::with_horizon(Microseconds(1e6))
+        };
+        SlottedEngine::new(cfg, stations, 70)
+    };
+    let m = assert_engine_equivalent(build);
+    for class in [0, 1] {
+        let wins: u64 = (m.per_station.iter().enumerate())
+            .filter(|&(i, _)| (i % 5 == 0) == (class == 1))
+            .map(|(_, s)| s.successes)
+            .sum();
+        assert!(wins > 0, "both classes must win rounds");
+    }
+}
+
+/// Every single-protocol population builds a core: dynamic backlog,
+/// DCF, several stage tables, mixed priorities, and rings from 1 MiB up
+/// to the 32 MiB cap; above it, and for a population that mixes 1901 and
+/// DCF stations, the engine says why it falls back.
+#[test]
+fn every_single_protocol_population_is_hosted() {
+    let poisson = TrafficModel::Poisson {
+        rate_per_us: 3e-5,
+        queue_cap: 8,
+    };
+    let wide = CsmaConfig::from_vectors(&[128, 512, 2048, 8192], &[0, 1, 3, 15]).unwrap();
+    let sims = [
+        Simulation::ieee1901(10).traffic(poisson),
+        Simulation::dcf(10),
+        Simulation::dcf(10).traffic(poisson),
+        Simulation::ieee1901(1000).config(wide.clone()),
+        Simulation::ieee1901(30_000).config(wide.clone()),
+    ];
+    for sim in &sims {
+        assert_eq!(sim.build().soa_rejection(), None);
+    }
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut stations: Vec<StationSpec<AnyBackoff>> = [Priority::CA1, Priority::CA3, Priority::CA1]
+        .into_iter()
+        .map(|priority| StationSpec {
+            priority,
+            ..StationSpec::saturated(
+                Backoff1901::new(CsmaConfig::ieee1901_for(priority), &mut rng).into(),
+            )
+        })
+        .collect();
+    let mixed = || EngineConfig::with_horizon(Microseconds(1e5));
+    let engine = SlottedEngine::new(mixed(), stations.clone(), 1);
+    assert_eq!(engine.soa_rejection(), None, "mixed priorities and tables");
+    stations.push(StationSpec::saturated(BackoffDcf::classic(&mut rng).into()));
+    let engine = SlottedEngine::new(mixed(), stations, 1);
+    assert!(matches!(
+        engine.soa_rejection(),
+        Some(CoreRejection::MixedProtocols { station: 3 })
+    ));
+    let too_wide = Simulation::ieee1901(33_000).config(wide).build();
+    assert!(matches!(
+        too_wide.soa_rejection(),
+        Some(CoreRejection::RingsTooLarge { .. })
+    ));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -351,16 +528,17 @@ proptest! {
     /// the SoA core must agree with the per-object path with the
     /// fast-forward both on and off, under mixed traffic, errors and
     /// station priorities (each station draws its class; a population
-    /// whose classes differ runs priority-resolution rounds).
+    /// whose classes differ runs priority-resolution rounds). Up to 70
+    /// stations, so parking crosses a bitset word.
     #[test]
     fn soa_matches_objects_for_random_populations(
         seed in 0u64..1000,
-        n in 1usize..6,
+        n in 1usize..=70,
         dcf in any::<bool>(),
         ff in any::<bool>(),
         rate in 1e-5f64..1e-3,
         pb_err in 0f64..0.3,
-        classes in proptest::collection::vec(0u8..4, 5),
+        classes in proptest::collection::vec(0u8..4, 70),
     ) {
         let run = |soa: bool| {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -402,8 +580,7 @@ proptest! {
     }
 
     /// The same check for randomized saturated populations up to
-    /// N = 200, four bitset words of the event layout (1901) or the
-    /// packed sweep (DCF).
+    /// N = 200, four bitset words of the core's rings (1901 or DCF).
     #[test]
     fn soa_matches_objects_for_random_saturated_populations(
         seed in 0u64..1000,

@@ -430,22 +430,33 @@ fn spatial_topologies_gate_unsupported_knobs() {
 
 #[test]
 fn soa_fallback_reason_is_typed_and_counted() {
-    use plc_core::config::CsmaConfig;
-    // dc = 0xFFFF is a legal MAC parameter but collides with the packed
-    // disabled-DC sentinel, so the SoA core must decline — with a reason.
-    let cfg = CsmaConfig::from_vectors(&[8, 16], &[0xFFFF, 0xFFFF]).unwrap();
+    use plc_core::units::Microseconds;
+    use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
+    use plc_sim::engine::{EngineConfig, SlottedEngine, StationSpec};
+    use rand::SeedableRng;
+    // IEEE 1901 counts its backoff down on every contention slot, DCF on
+    // idle slots only: a population of both has no one backoff clock, so
+    // the SoA core must decline — with a reason.
+    let build = |soa: bool| {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let stations: Vec<StationSpec<AnyBackoff>> = vec![
+            StationSpec::saturated(Backoff1901::default_ca1(&mut rng).into()),
+            StationSpec::saturated(BackoffDcf::classic(&mut rng).into()),
+        ];
+        let cfg = EngineConfig {
+            soa,
+            ..EngineConfig::with_horizon(Microseconds(2e5))
+        };
+        SlottedEngine::new(cfg, stations, 1)
+    };
     let registry = plc_obs::Registry::new();
-    let sim = Simulation::ieee1901(2)
-        .config(cfg.clone())
-        .horizon_us(2e5)
-        .seed(1)
-        .registry(&registry);
-    let engine = sim.try_build().unwrap();
+    let mut engine = build(true);
+    engine.instrument(&registry).unwrap();
     let why = engine
         .soa_rejection()
-        .expect("unrepresentable DC must surface a rejection reason");
+        .expect("a mixed-protocol population must surface a rejection reason");
     assert!(
-        why.to_string().contains("disabled-DC sentinel"),
+        why.to_string().contains("different protocol"),
         "unexpected reason: {why}"
     );
     assert_eq!(
@@ -454,14 +465,9 @@ fn soa_fallback_reason_is_typed_and_counted() {
         "the fallback must be counted"
     );
     // The per-object fallback is exact: same results as soa(false).
-    let with_fallback = sim.run();
-    let reference = Simulation::ieee1901(2)
-        .config(cfg)
-        .horizon_us(2e5)
-        .seed(1)
-        .soa(false)
-        .run();
-    assert_eq!(with_fallback, reference);
+    let with_fallback = engine.run().clone();
+    assert!(with_fallback.per_station.iter().all(|s| s.successes > 0));
+    assert_eq!(with_fallback, *build(false).run());
 }
 
 #[test]
